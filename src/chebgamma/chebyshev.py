@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .complexfn import csqrt
 from .errors import KernelDomainError
 
-__all__ = ["ShellCoefficient", "cheb_t", "growth_radius", "shell_coeff"]
+__all__ = ["ShellCoefficient", "cheb_t", "growth_radius", "shell_coeff", "shell_values"]
 
 
 def _as_index(n, name: str) -> int:
@@ -27,23 +27,16 @@ def _as_index(n, name: str) -> int:
 def cheb_t(n: int, x) -> complex:
     """T_n(x) by the three-term recurrence T_{n+1} = 2x T_n - T_{n-1}."""
     n = _as_index(n, "n")
-    x = complex(x)
-    if n == 0:
-        return 1.0 + 0.0j
-    prev, cur = 1.0 + 0.0j, x
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    return _grow_row([1.0 + 0.0j], complex(x), n)[n]
 
 
-def _cheb_row(n_max: int, x: complex) -> list:
-    """[T_0(x), ..., T_{n_max}(x)] in one recurrence pass."""
-    row = [1.0 + 0.0j]
-    if n_max == 0:
-        return row
-    row.append(x)
-    for _ in range(n_max - 1):
-        row.append(2.0 * x * row[-1] - row[-2])
+def _grow_row(row: list, x: complex, n_max: int) -> list:
+    """Extend ``row = [T_0(x), ..., T_m(x)]`` in place through T_{n_max}(x).
+
+    ``row`` must hold at least T_0 = 1; it is returned for chaining.
+    """
+    while len(row) <= n_max:
+        row.append(2.0 * x * row[-1] - row[-2] if len(row) > 1 else x)
     return row
 
 
@@ -72,22 +65,21 @@ def shell_coeff(q: int, alpha, beta) -> ShellCoefficient:
     q = _as_index(q, "q")
     alpha = complex(alpha)
     beta = complex(beta)
-    ta = _cheb_row(q, alpha)
-    tb = _cheb_row(q, beta)
+    ta = _grow_row([1.0 + 0.0j], alpha, q)
+    tb = _grow_row([1.0 + 0.0j], beta, q)
     return ShellCoefficient(q=q, value=_shell_value(q, ta, tb))
 
 
 def shell_values(q_max: int, alpha, beta) -> list:
     """All shell coefficients C_0..C_{q_max} sharing one recurrence pass.
 
-    O(q_max^2) total; this is the per-call cache the series engine uses
-    (coefficients are never memoized across calls).
+    O(q_max^2) total; coefficients are never memoized across calls.
     """
     q_max = _as_index(q_max, "q_max")
     alpha = complex(alpha)
     beta = complex(beta)
-    ta = _cheb_row(q_max, alpha)
-    tb = _cheb_row(q_max, beta)
+    ta = _grow_row([1.0 + 0.0j], alpha, q_max)
+    tb = _grow_row([1.0 + 0.0j], beta, q_max)
     return [_shell_value(q, ta, tb) for q in range(q_max + 1)]
 
 

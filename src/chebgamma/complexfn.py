@@ -267,6 +267,10 @@ def _e1_series(z: complex) -> complex:
     budget = _ITER_BUDGET + int(2 * abs(z))
     for n in range(1, budget):
         p *= -z / n
+        if not (math.isfinite(p.real) and math.isfinite(p.imag)):
+            # the terms outgrow a double before they turn: saturate
+            flag(OVERFLOW_SATURATION)
+            return -p
         term = -p / n
         total += term
         if n > abs(z) and abs(term) <= 1e-17 * (abs(total) + 1e-300):

@@ -377,10 +377,6 @@ def run_all(seed: int = DEFAULT_SEED, only: Optional[str] = None):
     return [run_case(case_id, seed=seed) for case_id in ids]
 
 
-def _fmt_c(value: complex) -> str:
-    return f"{value.real:.17g}{value.imag:+.17g}i"
-
-
 def render_report_text(reports, seed: int) -> str:
     """Fixed-width report table; timing is omitted so output is byte-stable."""
     lines = [f"seed = {seed}"]

@@ -14,6 +14,14 @@ the smallest shell of a smooth envelope bound and report that scale as
 the error), which is the reading under which large-|a pi| evaluations
 agree with the closed form to near machine precision.
 
+The truncation modes are two policies under three names.
+``exact-if-terminating`` and ``optimal`` are the same policy: a
+terminating k is summed through shell k with no early stop, and any
+other k stops at the tolerance or at the first upturn of the envelope.
+``fixed`` uses the tolerance stop alone, for every k, so a terminating k
+may stop before shell k.  Every mode stops at ``max_shell``, and every
+stop rule except the exact sum gives up once a shell overflows.
+
 The envelope used for truncation decisions is
 
     B_q = (q+1) * rho_max^q * |a pi|^(-q) * |1/(k)_{1-q}|
@@ -30,7 +38,8 @@ import sys
 from dataclasses import dataclass
 
 from ._flags import NOT_IN_ASYMPTOTIC_REGIME, OVERFLOW_SATURATION, flag
-from .chebyshev import _shell_value, growth_radius
+from .chebyshev import _grow_row, _shell_value, growth_radius
+from .complexfn import _nearest_nonpos_int
 from .errors import ConfigError, KernelDomainError, PoleError
 
 __all__ = [
@@ -42,7 +51,6 @@ __all__ = [
     "series_terminates",
 ]
 
-_SNAP = 1e-12
 _EPS = sys.float_info.epsilon
 # Multiplier on the accumulated-roundoff floor folded into error_estimate.
 # The series accumulation itself only loses a few epsilons; the factor is
@@ -114,32 +122,7 @@ def series_terminates(k):
     bound is structural: Q = 0 is reported for k = 0 even though the
     q = 0 weight 1/k makes that point a pole for the sum itself.
     """
-    k = _scalar(k, "k")
-    r = round(k.real)
-    if r >= 0 and abs(k - r) <= _SNAP:
-        return int(r)
-    return None
-
-
-class _ShellStream:
-    """Shell coefficients C_0, C_1, ... grown on demand, one (alpha, beta)."""
-
-    def __init__(self, alpha: complex, beta: complex):
-        self._ta = [1.0 + 0.0j]
-        self._tb = [1.0 + 0.0j]
-        self._alpha = alpha
-        self._beta = beta
-
-    def coeff(self, q: int) -> complex:
-        ta, tb = self._ta, self._tb
-        while len(ta) <= q:
-            if len(ta) == 1:
-                ta.append(self._alpha)
-                tb.append(self._beta)
-            else:
-                ta.append(2.0 * self._alpha * ta[-1] - ta[-2])
-                tb.append(2.0 * self._beta * tb[-1] - tb[-2])
-        return _shell_value(q, ta, tb)
+    return _nearest_nonpos_int(-_scalar(k, "k"))
 
 
 def _finite(z: complex) -> bool:
@@ -147,7 +130,7 @@ def _finite(z: complex) -> bool:
 
 
 class _Accumulator:
-    """Shared shell-major summation loop for plain and difference series.
+    """Running state of the shell-major sum for plain and difference series.
 
     ``multiplier(q)`` scales shell q; shells with multiplier 0 are skipped
     entirely (they are identically zero, not small), so truncation logic
@@ -170,10 +153,11 @@ class _Accumulator:
         self.k = k
         self.exact_bound = bound
         self.mult = multiplier
-        self.stream = _ShellStream(params.alpha, params.beta)
+        self.alpha, self.beta = params.alpha, params.beta
+        self.ta, self.tb = [1.0 + 0.0j], [1.0 + 0.0j]  # T_n rows, grown on demand
         self.rho = max(growth_radius(params.alpha), growth_radius(params.beta))
         self.inv_z = 1.0 / self.z
-        # running state, advanced by step(); shell q term and envelope
+        # running state, advanced by advance(); shell q term and envelope
         self.q = 0
         self.zpow = 1.0 + 0.0j          # z^(-q)
         self.recip = 1.0 / k            # 1/(k)_{1-q}
@@ -187,7 +171,10 @@ class _Accumulator:
         m = self.mult(self.q)
         if m == 0.0:
             return 0.0 + 0.0j
-        return m * self.stream.coeff(self.q) * self.recip * self.zpow
+        q = self.q
+        ta = _grow_row(self.ta, self.alpha, q)
+        tb = _grow_row(self.tb, self.beta, q)
+        return m * _shell_value(q, ta, tb) * self.recip * self.zpow
 
     def envelope(self) -> float:
         m = abs(self.mult(self.q))
@@ -236,92 +223,50 @@ class _Accumulator:
         )
 
 
-def _regime_warnings(acc: _Accumulator) -> set:
-    """Asymptotic-regime guard, applied to non-terminating k only."""
-    w = set()
-    if acc.exact_bound is not None:
-        return w
-    az = abs(acc.z)
-    if az < 1.05 * acc.rho or az <= acc.rho + abs(acc.k.real):
-        w.add(NOT_IN_ASYMPTOTIC_REGIME)
-    return w
+def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> SeriesResult:
+    """The one shell loop behind every truncation mode.
 
-
-def _run_exact(acc: _Accumulator, policy: TruncationPolicy) -> SeriesResult:
-    bound = acc.exact_bound
-    warnings = set()
-    while acc.q <= min(bound, policy.max_shell):
-        if acc.contributes():
-            acc.add_current()
-        acc.advance()
-    if bound > policy.max_shell:
-        # pathological (max_shell >= 4 and huge integer k); report honestly
-        acc.skip_to_contributing(bound)
-        return acc.finish("budget-exhausted", acc.envelope() + acc.roundoff_floor(), warnings)
-    return acc.finish("terminated-exactly", 0.0, warnings)
-
-
-def _run_fixed(acc: _Accumulator, policy: TruncationPolicy) -> SeriesResult:
-    warnings = _regime_warnings(acc)
-    while acc.q <= policy.max_shell:
-        if acc.recip == 0.0:
-            return acc.finish("terminated-exactly", 0.0, warnings)
-        if acc.contributes():
-            if acc.envelope() <= policy.rel_tol * abs(acc.acc) and acc.shells_used > 0:
-                err = abs(acc.term()) + acc.roundoff_floor()
-                return acc.finish("tolerance-met", err, warnings)
-            acc.add_current()
-        acc.advance()
-        if acc.saturated:
-            break
-    if acc.recip == 0.0:
-        return acc.finish("terminated-exactly", 0.0, warnings)
-    acc.skip_to_contributing(policy.max_shell + 2)
-    err = acc.envelope() + acc.roundoff_floor()
-    return acc.finish("budget-exhausted", err, warnings)
-
-
-def _run_optimal(acc: _Accumulator, policy: TruncationPolicy) -> SeriesResult:
-    warnings = _regime_warnings(acc)
-    prev_env = None
-    while acc.q <= policy.max_shell:
-        if acc.recip == 0.0:
-            return acc.finish("terminated-exactly", 0.0, warnings)
-        if acc.contributes():
-            env = acc.envelope()
-            if env <= policy.rel_tol * abs(acc.acc) and acc.shells_used > 0:
-                err = abs(acc.term()) + acc.roundoff_floor()
-                return acc.finish("tolerance-met", err, warnings)
-            if prev_env is not None and env > prev_env:
-                # envelope upturn: shell q is the first of the divergent
-                # tail, leave it out and report its scale
-                if acc.q < 3:
-                    warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
-                err = max(env, abs(acc.term())) + acc.roundoff_floor()
-                return acc.finish("optimal-truncation", err, warnings)
-            prev_env = env
-            acc.add_current()
-        acc.advance()
-        if acc.saturated:
-            break
-    if acc.recip == 0.0:
-        return acc.finish("terminated-exactly", 0.0, warnings)
-    acc.skip_to_contributing(policy.max_shell + 2)
-    err = acc.envelope() + acc.roundoff_floor()
-    return acc.finish("budget-exhausted", err, warnings)
-
-
-def _dispatch(params: SeriesParams, policy: TruncationPolicy, multiplier) -> SeriesResult:
+    A terminating k outside ``fixed`` sums through min(bound, max_shell)
+    with no early stop.  Otherwise the tolerance stop applies, and a
+    non-terminating k outside ``fixed`` also stops at the envelope upturn.
+    """
     acc = _Accumulator(params, multiplier)
-    if policy.mode == "exact-if-terminating":
-        if acc.exact_bound is not None:
-            return _run_exact(acc, policy)
-        return _run_optimal(acc, policy)
-    if policy.mode == "fixed":
-        return _run_fixed(acc, policy)
-    if acc.exact_bound is not None:
-        return _run_exact(acc, policy)
-    return _run_optimal(acc, policy)
+    bound = acc.exact_bound
+    fixed = policy.mode == "fixed"
+    exact = bound is not None and not fixed
+    warnings = set()
+    if bound is None:
+        # asymptotic-regime guard
+        az = abs(acc.z)
+        if az < 1.05 * acc.rho or az <= acc.rho + abs(acc.k.real):
+            warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
+    last = policy.max_shell if bound is None else min(bound, policy.max_shell)
+    prev_env = math.inf
+    while acc.q <= last and acc.recip != 0.0:
+        if acc.contributes():
+            if not exact:
+                env = acc.envelope()
+                if env <= policy.rel_tol * abs(acc.acc) and acc.shells_used > 0:
+                    err = abs(acc.term()) + acc.roundoff_floor()
+                    return acc.finish("tolerance-met", err, warnings)
+                if not fixed and env > prev_env:
+                    # envelope upturn: shell q is the first of the divergent
+                    # tail, leave it out and report its scale
+                    if acc.q < 3:
+                        warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
+                    err = max(env, abs(acc.term())) + acc.roundoff_floor()
+                    return acc.finish("optimal-truncation", err, warnings)
+                prev_env = env
+            acc.add_current()
+        acc.advance()
+        if acc.saturated and not exact:
+            break
+    # past the bound the weight is 0, or nan once it has overflowed
+    if acc.recip == 0.0 or (bound is not None and acc.q > bound):
+        return acc.finish("terminated-exactly", 0.0, warnings)
+    acc.skip_to_contributing(policy.max_shell + 2)
+    err = acc.envelope() + acc.roundoff_floor()
+    return acc.finish("budget-exhausted", err, warnings)
 
 
 def _unit_multiplier(q: int) -> float:
@@ -335,7 +280,7 @@ def _difference_multiplier(q: int) -> float:
 
 def series_sum(params: SeriesParams, policy: TruncationPolicy = TruncationPolicy()) -> SeriesResult:
     """Sum the double Chebyshev series at ``params`` under ``policy``."""
-    return _dispatch(params, policy, _unit_multiplier)
+    return _sum_shells(params, policy, _unit_multiplier)
 
 
 def difference_series(params: SeriesParams, policy: TruncationPolicy = TruncationPolicy()) -> SeriesResult:
@@ -344,4 +289,4 @@ def difference_series(params: SeriesParams, policy: TruncationPolicy = Truncatio
     Computed directly from the parity of the shell coefficients rather
     than by two subtractions, so even shells drop out exactly.
     """
-    return _dispatch(params, policy, _difference_multiplier)
+    return _sum_shells(params, policy, _difference_multiplier)

@@ -281,6 +281,15 @@ def test_erfc_saturation_flags_not_errors():
     assert not flags
 
 
+def test_nonpos_int_order_saturates_past_double_range():
+    # Gamma(-2, -720) is about e^720: the E1 start overflows a double and
+    # must saturate with the flag instead of stalling.
+    with collect() as flags:
+        v = upper_gamma(-2, -720)
+    assert not (math.isfinite(v.real) and math.isfinite(v.imag))
+    assert "overflow-saturation" in flags
+
+
 # ------------------------------------------------------------- pochhammer
 
 def test_pochhammer_recip_examples():

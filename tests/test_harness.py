@@ -268,6 +268,24 @@ def test_sweep_singular_points_are_skipped_rows(tmp_path):
     assert len(kept) == 1 and kept[0]["closed_re"] != ""
 
 
+def test_sweep_survives_a_saturating_kernel(tmp_path):
+    # At k = -2, beta = -1.5, a*pi = 300 the closed form needs Gamma(-2, z)
+    # past the double range; that point saturates and the grid goes on.
+    out = tmp_path / "grid.csv"
+    config = SweepConfig(
+        a=(300.0 / math.pi + 0j,), k=(-2 + 0j,), alpha=(0.3 + 0j,),
+        beta=(-1.5 + 0j, 0.4 + 0j), output_path=str(out),
+    )
+    summary = run_sweep(config)
+    assert summary.points_evaluated == 2
+    assert summary.failures == 0
+    with open(out, newline="") as fh:
+        saturated, regular = list(csv.DictReader(fh))
+    assert "overflow-saturation" in saturated["warnings"]
+    assert not math.isfinite(float(saturated["closed_re"]))
+    assert float(regular["rel_diff"]) < 1e-9
+
+
 def test_sweep_json_format(tmp_path):
     out = tmp_path / "grid.json"
     config = SweepConfig(

@@ -224,3 +224,35 @@ def test_error_estimate_bounds_closed_form_deviation():
         if abs(res.value - ref) > res.error_estimate:
             failures += 1
     assert failures <= 1
+
+
+
+# ------------------------------------------------------ pinned stop paths
+
+@pytest.mark.parametrize("fn, point, mode, max_shell, expected", [
+    # fixed mode still stops exactly at a terminating k
+    (series_sum, (0.3, -0.55, 5.0, 10.0), "fixed", 512,
+     (0.127779436 + 0j, 0.0, 6, "terminated-exactly", frozenset())),
+    # exact bound q = 40 lies past the shell budget
+    (series_sum, (0.3, -0.55, 40.0, 20.0), "exact-if-terminating", 8,
+     (-2.7619504092642613 + 0j, 48.44995155005789, 9, "budget-exhausted",
+      frozenset())),
+    # non-terminating k runs out of budget below the asymptotic regime
+    (series_sum, (0.3, -0.55, 2.5, 0.5), "fixed", 6,
+     (-31.763229999999986 + 0j, 5040.000000000567, 7, "budget-exhausted",
+      frozenset({"not-in-asymptotic-regime"}))),
+    # odd shells only: the error is read at the next odd shell, q = 7
+    (difference_series, (2.0, 2.0, 2.5, 30.0), "fixed", 5,
+     (-0.2711794444444444 + 0j, 3.631070317757483e-05, 3, "budget-exhausted",
+      frozenset())),
+    # the exact sum overflows a double: only saturation is pinned
+    (series_sum, (0.3, -0.55, 200.0, 0.5), "exact-if-terminating", 512, None),
+])
+def test_stop_paths_are_pinned(fn, point, mode, max_shell, expected):
+    res = fn(params(*point), TruncationPolicy(mode=mode, max_shell=max_shell))
+    if expected is None:
+        assert not (math.isfinite(res.value.real) and math.isfinite(res.value.imag))
+        assert "overflow-saturation" in res.warnings
+        return
+    assert (res.value, res.error_estimate, res.shells_used, res.termination,
+            res.warnings) == expected
