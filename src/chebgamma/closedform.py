@@ -5,21 +5,24 @@ Two independent routes to the same value are implemented on purpose:
 * ``contour_term`` / the twelve-term table: each addend of the partial
   fraction decomposition, normalized so the twelve values sum directly
   to the series value;
-* ``closed_form``: the assembled sixteen-addend bracket, written out
-  literally with its own prefactor.
+* ``closed_form``: the assembled sixteen-addend bracket with its own
+  prefactor, grouped by root: one loop over the four Chebyshev roots
+  x -+ i sqrt(1 - x^2), three incomplete gammas each.
 
 They share only the scalar kernels, so agreement between them is a real
 cross-check on the transcription.  ``closed_form_cos`` is the same
-identity in angle coordinates (alpha = cos theta), and the remaining
-functions are fixed reference formulas: the all-ones limit, the
-golden-ratio point, the error-function point, and the five odd-shell
-difference identities at alpha = beta = c.
+identity in angle coordinates (alpha = cos theta), with its own loop
+over the roots e^(-+i theta), and the remaining functions are fixed
+reference formulas: the all-ones limit, the golden-ratio point, the
+error-function point, and the odd-shell difference identities at
+alpha = beta = c.  Those are the double-root formula at c = 1 and one
+formula in c over the simple roots c +- sqrt(c^2 - 1) for c = 2..5.
 
 Branch convention: principal everywhere, negative real axis read with
-arg = +pi (see complexfn).  The difference identities for c = 3 and
-c = 5 multiply several non-principal-safe powers; they are evaluated
-with principal powers and flagged branch-sensitive rather than silently
-trusted.
+arg = +pi (see complexfn).  The source prints the difference identities
+for c = 3 and c = 5 with several non-principal-safe powers; those two
+are evaluated with principal powers and flagged branch-sensitive rather
+than silently trusted.
 """
 
 from __future__ import annotations
@@ -79,6 +82,9 @@ def _check_regular(params: SeriesParams, alpha_side: bool = True, beta_side: boo
         raise SingularParameterError("a*pi must be nonzero")
 
 
+_PREFACTOR_KINDS = {1: "unit", 0: "alpha-plus-beta", -1: "alpha-beta-product"}
+
+
 @dataclass(frozen=True)
 class ContourTermSpec:
     """One addend of the twelve-term decomposition.
@@ -93,7 +99,6 @@ class ContourTermSpec:
     variable: str          # "alpha-side" | "beta-side"
     root_sign: str         # "+" | "-" sign of i*sqrt(1 - x^2)
     order_shift: int       # in {-1, 0, +1}
-    prefactor_kind: str    # "unit" | "alpha-plus-beta" | "alpha-beta-product"
 
     def __post_init__(self):
         if self.variable not in ("alpha-side", "beta-side"):
@@ -102,24 +107,25 @@ class ContourTermSpec:
             raise ConfigError(f"bad root_sign {self.root_sign!r}")
         if self.order_shift not in (-1, 0, 1):
             raise ConfigError(f"bad order_shift {self.order_shift!r}")
-        kinds = ("unit", "alpha-plus-beta", "alpha-beta-product")
-        if self.prefactor_kind not in kinds:
-            raise ConfigError(f"bad prefactor_kind {self.prefactor_kind!r}")
+
+    @property
+    def prefactor_kind(self) -> str:
+        return _PREFACTOR_KINDS[self.order_shift]
 
 
 TWELVE_TERMS = (
-    ContourTermSpec(1, "alpha-side", "+", +1, "unit"),
-    ContourTermSpec(2, "alpha-side", "+", 0, "alpha-plus-beta"),
-    ContourTermSpec(3, "alpha-side", "-", +1, "unit"),
-    ContourTermSpec(4, "alpha-side", "-", 0, "alpha-plus-beta"),
-    ContourTermSpec(5, "alpha-side", "+", -1, "alpha-beta-product"),
-    ContourTermSpec(6, "alpha-side", "-", -1, "alpha-beta-product"),
-    ContourTermSpec(7, "beta-side", "+", +1, "unit"),
-    ContourTermSpec(8, "beta-side", "+", 0, "alpha-plus-beta"),
-    ContourTermSpec(9, "beta-side", "+", -1, "alpha-beta-product"),
-    ContourTermSpec(10, "beta-side", "-", +1, "unit"),
-    ContourTermSpec(11, "beta-side", "-", 0, "alpha-plus-beta"),
-    ContourTermSpec(12, "beta-side", "-", -1, "alpha-beta-product"),
+    ContourTermSpec(1, "alpha-side", "+", +1),
+    ContourTermSpec(2, "alpha-side", "+", 0),
+    ContourTermSpec(3, "alpha-side", "-", +1),
+    ContourTermSpec(4, "alpha-side", "-", 0),
+    ContourTermSpec(5, "alpha-side", "+", -1),
+    ContourTermSpec(6, "alpha-side", "-", -1),
+    ContourTermSpec(7, "beta-side", "+", +1),
+    ContourTermSpec(8, "beta-side", "+", 0),
+    ContourTermSpec(9, "beta-side", "+", -1),
+    ContourTermSpec(10, "beta-side", "-", +1),
+    ContourTermSpec(11, "beta-side", "-", 0),
+    ContourTermSpec(12, "beta-side", "-", -1),
 )
 
 
@@ -141,9 +147,9 @@ def contour_term(spec: ContourTermSpec, params: SeriesParams) -> complex:
     root = csqrt(1.0 - x * x)
     big_x = x + 1j * root if spec.root_sign == "+" else x - 1j * root
     order = k + 1.0 + spec.order_shift
-    if spec.prefactor_kind == "unit":
+    if spec.order_shift == 1:
         pref = 1.0 + 0.0j
-    elif spec.prefactor_kind == "alpha-plus-beta":
+    elif spec.order_shift == 0:
         # printed with a stray standalone token in two of the equations;
         # the multiplier used to build them is (alpha + beta)
         pref = alpha + beta
@@ -159,49 +165,27 @@ def contour_term(spec: ContourTermSpec, params: SeriesParams) -> complex:
 
 
 def closed_form(params: SeriesParams) -> complex:
-    """The assembled sixteen-addend bracket, transcribed literally."""
+    """The assembled bracket: one residue group per Chebyshev root.
+
+    The roots alpha -+ i sa weigh +sb, -sb and beta -+ i sb weigh -sa, +sa
+    (sa = sqrt(1-alpha^2), sb = sqrt(1-beta^2)).  Root X contributes
+    e^(z X) [X^(-k-2) G(k+2) - (k+1)(alpha+beta) X^(-k-1) G(k+1)
+    + k(k+1) alpha beta X^(-k) G(k)], with G(s) = Gamma(s, z X).
+    """
     _check_regular(params)
     z = params.a_pi()
     k, alpha, beta = params.k, params.alpha, params.beta
     sa = csqrt(1.0 - alpha * alpha)
     sb = csqrt(1.0 - beta * beta)
-    am = alpha - 1j * sa
-    ap = alpha + 1j * sa
-    bm = beta - 1j * sb
-    bp = beta + 1j * sb
-
-    e_am, e_ap, e_bm, e_bp = cexp(z * am), cexp(z * ap), cexp(z * bm), cexp(z * bp)
-    g0_am, g1_am, g2_am = (upper_gamma(k, z * am), upper_gamma(k + 1, z * am),
-                           upper_gamma(k + 2, z * am))
-    g0_ap, g1_ap, g2_ap = (upper_gamma(k, z * ap), upper_gamma(k + 1, z * ap),
-                           upper_gamma(k + 2, z * ap))
-    g0_bm, g1_bm, g2_bm = (upper_gamma(k, z * bm), upper_gamma(k + 1, z * bm),
-                           upper_gamma(k + 2, z * bm))
-    g0_bp, g1_bp, g2_bp = (upper_gamma(k, z * bp), upper_gamma(k + 1, z * bp),
-                           upper_gamma(k + 2, z * bp))
-    p0_am, p1_am, p2_am = cpow(am, -k), cpow(am, -k - 1), cpow(am, -k - 2)
-    p0_ap, p1_ap, p2_ap = cpow(ap, -k), cpow(ap, -k - 1), cpow(ap, -k - 2)
-    p0_bm, p1_bm, p2_bm = cpow(bm, -k), cpow(bm, -k - 1), cpow(bm, -k - 2)
-    p0_bp, p1_bp, p2_bp = cpow(bp, -k), cpow(bp, -k - 1), cpow(bp, -k - 2)
-
-    bracket = (
-        e_am * sb * g2_am * p2_am
-        - e_am * (k + 1) * alpha * sb * g1_am * p1_am
-        - e_am * (k + 1) * beta * sb * g1_am * p1_am
-        + e_am * k * (k + 1) * alpha * beta * sb * g0_am * p0_am
-        - e_ap * k * (k + 1) * alpha * p0_ap * beta * sb * g0_ap
-        - e_bm * k * (k + 1) * alpha * sa * beta * p0_bm * g0_bm
-        + e_bp * k * (k + 1) * alpha * sa * beta * p0_bp * g0_bp
-        + e_ap * (k + 1) * alpha * p1_ap * sb * g1_ap
-        + e_ap * (k + 1) * p1_ap * beta * sb * g1_ap
-        + e_bm * (k + 1) * sa * beta * p1_bm * g1_bm
-        + e_bm * (k + 1) * alpha * sa * p1_bm * g1_bm
-        - e_bp * (k + 1) * sa * beta * p1_bp * g1_bp
-        - e_bp * (k + 1) * alpha * sa * p1_bp * g1_bp
-        - e_ap * p2_ap * sb * g2_ap
-        - e_bm * sa * p2_bm * g2_bm
-        + e_bp * sa * p2_bp * g2_bp
-    )
+    roots = ((alpha - 1j * sa, sb), (alpha + 1j * sa, -sb),
+             (beta - 1j * sb, -sa), (beta + 1j * sb, sa))
+    bracket = 0j
+    for x, weight in roots:
+        zx = z * x
+        bracket += weight * cexp(zx) * (
+            cpow(x, -k - 2) * upper_gamma(k + 2, zx)
+            - (k + 1) * (alpha + beta) * cpow(x, -k - 1) * upper_gamma(k + 1, zx)
+            + k * (k + 1) * alpha * beta * cpow(x, -k) * upper_gamma(k, zx))
     pref = 1.0 / (4j * k * (k + 1) * cpow(z, k) * sa * (alpha - beta) * sb)
     return pref * bracket
 
@@ -209,8 +193,10 @@ def closed_form(params: SeriesParams) -> complex:
 def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
     """Angle-coordinate form of the closed expression (alpha = cos theta).
 
-    Written out exactly as the cotangent/cosecant expression prints,
-    including the mixed e^(+-i theta) power pairings on the beta side.
+    The roots are e^(-+i theta).  Each carries its own power of the root,
+    keeping the printed mixed pairings on the beta side (e^(-i theta_beta)
+    goes with e^(+i k theta_beta) and vice versa), and the order shifts
+    appear as e^(+-i theta) factors folded into the exponential.
     """
     a, k = complex(a), complex(k)
     ta, tb = complex(theta_alpha), complex(theta_beta)
@@ -226,31 +212,18 @@ def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
     ym, yp = cexp(-1j * tb), cexp(1j * tb)
     cot_a, csc_a = ca / sina, 1.0 / sina
     cot_b, csc_b = cb / sinb, 1.0 / sinb
-    g0_xm, g1_xm, g2_xm = (upper_gamma(k, z * xm), upper_gamma(1 + k, z * xm),
-                           upper_gamma(2 + k, z * xm))
-    g0_xp, g1_xp, g2_xp = (upper_gamma(k, z * xp), upper_gamma(1 + k, z * xp),
-                           upper_gamma(2 + k, z * xp))
-    g0_ym, g1_ym, g2_ym = (upper_gamma(k, z * ym), upper_gamma(1 + k, z * ym),
-                           upper_gamma(2 + k, z * ym))
-    g0_yp, g1_yp, g2_yp = (upper_gamma(k, z * yp), upper_gamma(1 + k, z * yp),
-                           upper_gamma(2 + k, z * yp))
-    pxm, pxp = cpow(xm, -k), cpow(xp, -k)
-    pyp_k, pym_k = cpow(yp, k), cpow(ym, k)
-
-    bracket = (
-        cexp(z * xm) * pxm * k * (1 + k) * cb * cot_a * g0_xm
-        - cexp(z * xp) * pxp * k * (1 + k) * cb * cot_a * g0_xp
-        - k * (1 + k) * ca * cot_b * (cexp(z * ym) * pyp_k * g0_ym
-                                      - cexp(z * yp) * pym_k * g0_yp)
-        - cexp(z * xm + 1j * ta) * pxm * (1 + k) * (ca + cb) * csc_a * g1_xm
-        + cexp(z * xp - 1j * ta) * pxp * (1 + k) * (ca + cb) * csc_a * g1_xp
-        + cexp(z * ym + 1j * tb) * pyp_k * (1 + k) * (ca + cb) * csc_b * g1_ym
-        - cexp(z * yp - 1j * tb) * pym_k * (1 + k) * (ca + cb) * csc_b * g1_yp
-        + cexp(z * xm + 2j * ta) * pxm * csc_a * g2_xm
-        - cexp(z * xp - 2j * ta) * pxp * csc_a * g2_xp
-        - cexp(z * ym + 2j * tb) * pyp_k * csc_b * g2_ym
-        + cexp(z * yp - 2j * tb) * pym_k * csc_b * g2_yp
-    )
+    # (root, angle shift, root power, sign, order-k weight, cosecant)
+    roots = ((xm, ta, cpow(xm, -k), 1.0, cb * cot_a, csc_a),
+             (xp, -ta, cpow(xp, -k), -1.0, cb * cot_a, csc_a),
+             (ym, tb, cpow(yp, k), -1.0, ca * cot_b, csc_b),
+             (yp, -tb, cpow(ym, k), 1.0, ca * cot_b, csc_b))
+    bracket = 0j
+    for x, shift, power, sign, lead, csc in roots:
+        zx = z * x
+        bracket += sign * (
+            cexp(zx) * power * k * (1 + k) * lead * upper_gamma(k, zx)
+            - cexp(zx + 1j * shift) * power * (1 + k) * (ca + cb) * csc * upper_gamma(1 + k, zx)
+            + cexp(zx + 2j * shift) * power * csc * upper_gamma(2 + k, zx))
     return bracket / (4.0 * k * 1j * (1 + k) * cpow(z, k) * (ca - cb))
 
 
@@ -333,111 +306,44 @@ def _diff_c1(a: complex, k: complex) -> complex:
     )
 
 
-def _diff_c2(a: complex, k: complex) -> complex:
+def _diff_c(c: int, a: complex, k: complex) -> complex:
+    # Simple roots s, t = c +- r of X^2 - 2cX + 1, with r = sqrt(c^2 - 1)
+    # and m = -t; d = c^2 - 1 carries the constants that the source prints
+    # per c (8, 4, 3 sqrt2 at c = 3; 24, 12, 5 sqrt6 at c = 5).
     z = a * math.pi
-    r3 = math.sqrt(3.0)
-    pref = cpow(a, -k) * cexp(-((2.0 + r3) * a + 1j * k) * math.pi) / (12.0 * k)
-    return pref * (
-        6.0 * cexp((2.0 + r3) * z) * _branch_disc(a, k) * (2.0 + k)
-        + k * (
-            -cpow(a, k) * cexp(4.0 * z + 1j * k * math.pi)
-            * (6.0 + 2.0 * r3 + 3.0 * k + 3.0 * (r3 - 2.0) * z)
-            * exp_integral_e(1.0 - k, -((r3 - 2.0) * z))
-            + cpow(-a, k) * cexp(2.0 * r3 * z)
-            * (6.0 + 2.0 * r3 + 3.0 * k - 3.0 * (r3 - 2.0) * z)
-            * exp_integral_e(1.0 - k, (r3 - 2.0) * z)
-            + cpow(-a, k)
-            * (6.0 - 2.0 * r3 + 3.0 * k + 3.0 * (2.0 + r3) * z)
-            * exp_integral_e(1.0 - k, -((2.0 + r3) * z))
-            + cpow(a, k) * cexp((2.0 * (2.0 + r3) * a + 1j * k) * math.pi)
-            * (-6.0 + 2.0 * r3 - 3.0 * k + 3.0 * (2.0 + r3) * z)
-            * exp_integral_e(1.0 - k, (2.0 + r3) * z)
-        )
-    )
-
-
-def _diff_c3(a: complex, k: complex) -> complex:
-    z = a * math.pi
-    r2 = math.sqrt(2.0)
-    s = 3.0 + 2.0 * r2
-    t = 3.0 - 2.0 * r2
-    m = -3.0 + 2.0 * r2
+    d = c * c - 1.0
+    r = math.sqrt(d)
+    s, t, m = c + r, c - r, r - c
+    h, q = 0.5 * d, 0.5 * c * r
+    t2k, neg_a_k = cpow(t + 0j, 2 * k), cpow(-a, k)
+    e2c = cexp(2.0 * c * z + 1j * k * math.pi)
     pref = (cpow(m + 0j, -2 * k) * cpow(a, -k) * cpow(m * a, -k)
             * cexp((-(s * a) + 2j * k) * math.pi) * cpow(-(s * math.pi) + 0j, -k)
-            / (16.0 * k))
+            / (2.0 * d * k))
     return pref * (
-        8.0 * cpow(t + 0j, 2 * k) * cpow(-a, k) * cexp(s * z) * _branch_disc(a, k)
+        d * t2k * neg_a_k * cexp(s * z) * _branch_disc(a, k)
         * (2.0 + k) * cpow(math.pi + 0j, k)
-        + cpow(t + 0j, 3 * k) * cpow(-a, k) * k
-        * (8.0 - 3.0 * r2 + 4.0 * k + 4.0 * s * z) * upper_gamma(k, -(s * z))
+        + cpow(t + 0j, 3 * k) * neg_a_k * k
+        * (d - q + h * k + h * s * z) * upper_gamma(k, -(s * z))
         + cpow(m * a, k) * k * (
-            -cexp(6.0 * z + 1j * k * math.pi)
-            * (8.0 + 3.0 * r2 + 4.0 * k + 4.0 * m * z) * upper_gamma(k, t * z)
-            + cexp(4.0 * r2 * z) * (
-                (8.0 + 3.0 * r2 + 4.0 * k + 4.0 * t * z) * upper_gamma(k, m * z)
-                + cpow(t + 0j, 2 * k) * cexp(6.0 * z + 1j * k * math.pi)
-                * (-8.0 + 3.0 * r2 - 4.0 * k + 4.0 * s * z) * upper_gamma(k, s * z)
+            -e2c * (d + q + h * k + h * m * z) * upper_gamma(k, t * z)
+            + cexp(2.0 * r * z) * (
+                (d + q + h * k + h * t * z) * upper_gamma(k, m * z)
+                + t2k * e2c * (-d + q - h * k + h * s * z) * upper_gamma(k, s * z)
             )
         )
     )
 
 
-def _diff_c4(a: complex, k: complex) -> complex:
-    z = a * math.pi
-    r15 = math.sqrt(15.0)
-    s = 4.0 + r15
-    t = 4.0 - r15
-    m = -4.0 + r15
-    pref = (cpow(a, -k) * cexp(-(s * z)) * cpow(m * math.pi + 0j, -k) / (60.0 * k))
-    return pref * (
-        30.0 * cexp(s * z) * _branch_disc(a, k) * (2.0 + k) * cpow(t * math.pi + 0j, k)
-        - cexp(8.0 * z + 1j * k * math.pi) * k
-        * (30.0 + 4.0 * r15 + 15.0 * k + 15.0 * m * z) * upper_gamma(k, -(m * z))
-        + cexp(2.0 * r15 * z) * k
-        * (30.0 + 4.0 * r15 + 15.0 * k - 15.0 * m * z) * upper_gamma(k, m * z)
-        + cpow(31.0 - 8.0 * r15 + 0j, k) * k * (
-            (30.0 - 4.0 * r15 + 15.0 * k + 15.0 * s * z) * upper_gamma(k, -(s * z))
-            + cexp((2.0 * s * a + 1j * k) * math.pi)
-            * (-30.0 + 4.0 * r15 - 15.0 * k + 15.0 * s * z) * upper_gamma(k, s * z)
-        )
-    )
-
-
-def _diff_c5(a: complex, k: complex) -> complex:
-    z = a * math.pi
-    r6 = math.sqrt(6.0)
-    s = 5.0 + 2.0 * r6
-    t = 5.0 - 2.0 * r6
-    m = -5.0 + 2.0 * r6
-    pref = (cpow(m + 0j, -2 * k) * cpow(a, -k) * cpow(m * a, -k) / (48.0 * k)
-            * cexp((-(s * a) + 2j * k) * math.pi) * cpow(-(s * math.pi) + 0j, -k))
-    return pref * (
-        24.0 * cpow(t + 0j, 2 * k) * cpow(-a, k) * cexp(s * z) * _branch_disc(a, k)
-        * (2.0 + k) * cpow(math.pi + 0j, k)
-        + cpow(t + 0j, 3 * k) * cpow(-a, k) * k
-        * (24.0 - 5.0 * r6 + 12.0 * k + 12.0 * s * z) * upper_gamma(k, -(s * z))
-        + cpow(m * a, k) * k * (
-            -cexp(10.0 * z + 1j * k * math.pi)
-            * (24.0 + 5.0 * r6 + 12.0 * k + 12.0 * m * z) * upper_gamma(k, t * z)
-            + cexp(4.0 * r6 * z) * (
-                (24.0 + 5.0 * r6 + 12.0 * k + 12.0 * t * z) * upper_gamma(k, m * z)
-                + cpow(t + 0j, 2 * k) * cexp(10.0 * z + 1j * k * math.pi)
-                * (-24.0 + 5.0 * r6 - 12.0 * k + 12.0 * s * z) * upper_gamma(k, s * z)
-            )
-        )
-    )
-
-
-_DIFF_FORMULAS = {1: _diff_c1, 2: _diff_c2, 3: _diff_c3, 4: _diff_c4, 5: _diff_c5}
-# c = 3 and c = 5 stack powers like (3-2 sqrt2)^(2k) (-a)^k ((-3+2 sqrt2) a)^(-k)
-# whose branch the source expression leaves open; principal powers are used
-# and the result is flagged rather than trusted silently.
+# The source prints c = 3 and c = 5 with branch-open stacked powers such as
+# (3-2 sqrt2)^(2k) (-a)^k ((-3+2 sqrt2) a)^(-k); principal powers are used
+# and those two are flagged rather than trusted silently.
 _DIFF_BRANCH_SENSITIVE = frozenset({3, 5})
 
 
 def diff_closed_form(c: int, a, k) -> complex:
     """Odd-shell difference identity at alpha = beta = c, for c in 1..5."""
-    if not isinstance(c, int) or isinstance(c, bool) or c not in _DIFF_FORMULAS:
+    if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= 5:
         raise ConfigError(f"c must be an integer in 1..5, got {c!r}")
     a, k = complex(a), complex(k)
     if k == 0:
@@ -446,10 +352,31 @@ def diff_closed_form(c: int, a, k) -> complex:
         raise SingularParameterError("a*pi must be nonzero")
     if c in _DIFF_BRANCH_SENSITIVE:
         flag(BRANCH_SENSITIVE)
-    return _DIFF_FORMULAS[c](a, k)
+    return _diff_c1(a, k) if c == 1 else _diff_c(c, a, k)
 
 
-_LIMIT_KINDS = ("alpha-to-beta", "alpha-to-one", "alpha-to-minus-one", "both-to-one")
+def _nudge_beta(p: SeriesParams, eps: float) -> SeriesParams:
+    nudged = p.beta + eps if p.beta == 0 else p.beta * (1.0 + eps)
+    return SeriesParams(a=p.a, k=p.k, alpha=p.alpha, beta=nudged)
+
+
+# kind -> (on its singular set?, the point perturbed off it by eps)
+_LIMIT_KINDS = {
+    "alpha-to-beta": (
+        lambda p: abs(p.alpha - p.beta) <= _MOAT,
+        _nudge_beta),
+    "alpha-to-one": (
+        lambda p: abs(p.alpha - 1.0) <= _MOAT,
+        lambda p, eps: SeriesParams(a=p.a, k=p.k, alpha=1.0 - eps, beta=p.beta)),
+    "alpha-to-minus-one": (
+        lambda p: abs(p.alpha + 1.0) <= _MOAT,
+        lambda p, eps: SeriesParams(a=p.a, k=p.k, alpha=-1.0 + eps, beta=p.beta)),
+    # distinct rates keep alpha and beta separated while both approach 1
+    # along the real axis from inside
+    "both-to-one": (
+        lambda p: abs(p.alpha - 1.0) <= _MOAT and abs(p.beta - 1.0) <= _MOAT,
+        lambda p, eps: SeriesParams(a=p.a, k=p.k, alpha=1.0 - eps, beta=1.0 - 2.0 * eps)),
+}
 
 
 @dataclass(frozen=True)
@@ -460,7 +387,8 @@ class LimitSpec:
 
     def __post_init__(self):
         if self.kind not in _LIMIT_KINDS:
-            raise ConfigError(f"kind must be one of {_LIMIT_KINDS}, got {self.kind!r}")
+            raise ConfigError(
+                f"kind must be one of {tuple(_LIMIT_KINDS)}, got {self.kind!r}")
         if not (0.0 < self.eps0 <= 1e-2):
             raise ConfigError(f"eps0 must lie in (0, 1e-2], got {self.eps0!r}")
         if not isinstance(self.levels, int) or not (3 <= self.levels <= 8):
@@ -469,30 +397,6 @@ class LimitSpec:
             raise ConfigError(
                 "smallest perturbation would land inside the singularity moat; "
                 "increase eps0 or decrease levels")
-
-
-def _on_singular_set(params: SeriesParams, kind: str) -> bool:
-    if kind == "alpha-to-beta":
-        return abs(params.alpha - params.beta) <= _MOAT
-    if kind == "alpha-to-one":
-        return abs(params.alpha - 1.0) <= _MOAT
-    if kind == "alpha-to-minus-one":
-        return abs(params.alpha + 1.0) <= _MOAT
-    return abs(params.alpha - 1.0) <= _MOAT and abs(params.beta - 1.0) <= _MOAT
-
-
-def _perturbed(params: SeriesParams, kind: str, eps: float) -> SeriesParams:
-    a, k, alpha, beta = params.a, params.k, params.alpha, params.beta
-    if kind == "alpha-to-beta":
-        nudged = beta + eps if beta == 0 else beta * (1.0 + eps)
-        return SeriesParams(a=a, k=k, alpha=alpha, beta=nudged)
-    if kind == "alpha-to-one":
-        return SeriesParams(a=a, k=k, alpha=1.0 - eps, beta=beta)
-    if kind == "alpha-to-minus-one":
-        return SeriesParams(a=a, k=k, alpha=-1.0 + eps, beta=beta)
-    # both-to-one: distinct rates keep alpha and beta separated while both
-    # approach 1 along the real axis from inside
-    return SeriesParams(a=a, k=k, alpha=1.0 - eps, beta=1.0 - 2.0 * eps)
 
 
 def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
@@ -504,13 +408,14 @@ def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
     perturbation path).  Raises when the extrapolants stop contracting
     by at least 2 per level above the rounding floor.
     """
-    if not _on_singular_set(params, limit.kind):
+    on_singular_set, perturbed = _LIMIT_KINDS[limit.kind]
+    if not on_singular_set(params):
         raise SingularParameterError(
             f"params do not sit on the {limit.kind} singular set")
     rows = []
     for j in range(limit.levels):
         eps = limit.eps0 * 0.5 ** j
-        value = closed_form(_perturbed(params, limit.kind, eps))
+        value = closed_form(perturbed(params, eps))
         # Neville update of the Richardson tableau, ratio 2, order 1 model
         row = [value]
         prev = rows[-1] if rows else None

@@ -155,6 +155,19 @@ def test_realness_for_real_parameters():
         assert abs(got.imag) <= 1e-10 * abs(got)
 
 
+def test_closed_form_past_a_literal_bracket_overflow():
+    # e^(z X) at the beta root 1.54 + 1.17 is near the top of the double
+    # range here; multiplying it by an addend's coefficients before the
+    # gamma factor overflows, and inf * 0 then gives nan.
+    p = SeriesParams(a=83.05378253899715, k=20, alpha=0.16780911058382575,
+                     beta=1.5420366731167683)
+    got = closed_form(p)
+    ref = series_sum(p).value
+    assert cmath.isfinite(got)
+    assert rel(got, ref) <= 1e-12
+    assert rel(ref, 0.0576163646505162) <= 1e-12
+
+
 def test_moat_rejections_name_the_limit_path():
     cases = [
         params(0.5, 0.5, 2.0, 10.0),        # alpha = beta
@@ -278,6 +291,19 @@ def test_difference_closed_form_vs_series_all_five():
         got = diff_closed_form(c, z / math.pi, 2.0)
         ref = difference_series(params(float(c), float(c), 2.0, z)).value
         assert rel(got, ref) <= 1e-6
+
+
+def test_difference_identities_beyond_printed_range():
+    points = [(4, 60.0), (4, 70.0), (4, 80.0), (2, 100.0)]
+    rng = random.Random(49)
+    for c in range(2, 6):
+        for _ in range(20):
+            points.append((c, cmath.rect(rng.uniform(15.0, 60.0),
+                                         rng.uniform(-math.pi, math.pi))))
+    for c, z in points:
+        got = diff_closed_form(c, z / math.pi, 2.0)
+        ref = difference_series(params(float(c), float(c), 2.0, z)).value
+        assert rel(got, ref) <= 1e-6, (c, z, got, ref)
 
 
 def test_difference_branch_sensitivity_flags():
