@@ -3,14 +3,18 @@
 
 The default seed must give a byte-identical report on every run; other
 seeds redraw the randomized rows and should pass identically.  Exit
-status is nonzero if any case fails at any seed.
+status is nonzero if any case fails at any seed.  The last line is the
+sha256 over the text and JSON reports of every seed run, so two
+checkouts can be compared over many seeds with one diff.
 
 Usage:
     python scripts/reproduce_verification.py
     python scripts/reproduce_verification.py --seeds 1,2,3 --json out/
+    python scripts/reproduce_verification.py --seeds $(seq -s, 0 199) | tail -1
 """
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -27,9 +31,13 @@ def main(argv=None) -> int:
 
     seeds = [int(tok) for tok in args.seeds.split(",")]
     any_fail = False
+    digest = hashlib.sha256()
     for seed in seeds:
         reports = run_all(seed=seed)
         text = render_report_text(reports, seed)
+        doc = render_report_json(reports, seed)
+        digest.update(text.encode())
+        digest.update(doc.encode())
         sys.stdout.write(text)
         if seed == DEFAULT_SEED:
             again = render_report_text(run_all(seed=seed), seed)
@@ -39,10 +47,11 @@ def main(argv=None) -> int:
             os.makedirs(args.json, exist_ok=True)
             path = os.path.join(args.json, f"report-{seed}.json")
             with open(path, "w") as fh:
-                fh.write(render_report_json(reports, seed))
+                fh.write(doc)
             print(f"wrote {path}")
         any_fail |= any(r.status == "fail" for r in reports)
         print()
+    print(f"sha256 of all reports = {digest.hexdigest()}")
     return 1 if any_fail else 0
 
 

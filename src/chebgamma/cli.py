@@ -27,6 +27,7 @@ from .harness import (
     render_report_text,
     run_all,
 )
+from .series import _MODES as _SERIES_MODES
 from .series import SeriesParams, TruncationPolicy, series_sum
 from .sweep import parse_complex_literal, parse_sweep_config, run_sweep
 
@@ -38,6 +39,9 @@ def _complex_arg(token: str) -> complex:
         return parse_complex_literal(token)
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_DEFAULT_POLICY = TruncationPolicy()
 
 
 def _fmt(value: complex) -> str:
@@ -69,11 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="series value at one point")
     point_args(p_series)
-    p_series.add_argument("--mode",
-                          choices=("exact-if-terminating", "fixed", "optimal"),
-                          default="exact-if-terminating")
-    p_series.add_argument("--max-shell", type=int, default=512)
-    p_series.add_argument("--rel-tol", type=float, default=1e-14)
+    p_series.add_argument("--mode", choices=_SERIES_MODES, default=_DEFAULT_POLICY.mode)
+    p_series.add_argument("--max-shell", type=int, default=_DEFAULT_POLICY.max_shell)
+    p_series.add_argument("--rel-tol", type=float, default=_DEFAULT_POLICY.rel_tol)
 
     p_verify = sub.add_parser("verify", help="run registered verification cases")
     p_verify.add_argument("--case", default=None, help="run a single case id")

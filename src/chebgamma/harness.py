@@ -2,9 +2,12 @@
 
 Each registered case compares two independently computed routes to the
 same number: a series or limit evaluation on one side and a closed-form
-or reference expression on the other.  ``run_case`` evaluates the case
-at its canonical parameters plus up to ten randomized draws and returns
-the worst row, so a passing report means every probed point passed.
+or reference expression on the other.  A case is one row of data: its
+canonical points, a draw for randomized points, and the two routes.
+``run_case`` evaluates 11 points per case (the canonical ones, then
+draws; a case with no free parameters runs its canonical point alone).
+A case fails if any point fails; the report shows the worst failing
+point, or the worst point when all pass.
 
 Determinism: draws come from a per-case RNG seeded by (seed, case_id)
 through SHA-256, so reports are byte-identical for a fixed seed no
@@ -22,7 +25,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ._flags import collect
 from .closedform import (
@@ -78,23 +81,35 @@ class CaseReport:
     abs_err: float
     rel_err: float
     tolerance: float
-    status: str                 # "pass" | "fail" | "skipped-with-warning"
+    status: str                 # "pass" | "fail"
     wall_time_ms: float
     warnings: frozenset
 
 
-# A row is one (lhs, rhs) evaluation at concrete parameters; the runner
-# yields the canonical row first, then the randomized draws.
-_Row = tuple  # (lhs: complex, rhs: complex, warnings: frozenset)
-
-
 @dataclass(frozen=True)
 class VerificationCase:
+    """One case as data: where to evaluate it and the two routes to compare.
+
+    ``run_case`` takes ``points`` (canonical parameter tuples), then calls
+    ``draw(rng)`` for one randomized point at a time until the case has
+    eleven points; a case whose ``draw`` is None runs its canonical points
+    only.  ``lhs(*point)`` and ``rhs(*point)`` are the two routes.
+    """
     case_id: str
     description: str
     kind: str                   # "primary" | "derived-anchor"
     tolerance: float
-    runner: Callable[[random.Random], Iterable[_Row]]
+    points: tuple
+    draw: Optional[Callable[[random.Random], tuple]]
+    lhs: Callable[..., complex]
+    rhs: Callable[..., complex]
+
+
+_POINTS_PER_CASE = 11
+_INT_K = (1.0, 2.0, 3.0, 5.0)
+_REAL_K = (0.7, 1.3, 2.5, -0.5)
+_OPTIMAL = TruncationPolicy(mode="optimal")
+_R5 = math.sqrt(5.0)
 
 
 def _case_rng(seed: int, case_id: str) -> random.Random:
@@ -110,37 +125,26 @@ def _draw_pair(rng: random.Random, bound: float = 0.9, gap: float = 0.1):
             return alpha, beta
 
 
-def _eval_row(lhs_fn, rhs_fn) -> _Row:
-    with collect() as seen:
-        lhs = lhs_fn()
-        rhs = rhs_fn()
-    return lhs, rhs, frozenset(seen)
+def _params(k, z, alpha, beta) -> SeriesParams:
+    # Points carry the series variable z = a*pi; the routes take a.
+    return SeriesParams(a=z / math.pi, k=k, alpha=alpha, beta=beta)
 
 
-def _theorem1_int_k(rng: random.Random):
-    points = [(2.0, 10.0, 0.3, -0.4)]
-    for _ in range(10):
-        k = rng.choice((1.0, 2.0, 3.0, 5.0))
-        z = rng.choice((2.0, 10.0))
-        alpha, beta = _draw_pair(rng)
-        points.append((k, z, alpha, beta))
-    for k, z, alpha, beta in points:
-        p = SeriesParams(a=z / math.pi, k=k, alpha=alpha, beta=beta)
-        yield _eval_row(lambda p=p: series_sum(p).value, lambda p=p: closed_form(p))
+def _series(k, z, alpha, beta) -> complex:
+    return series_sum(_params(k, z, alpha, beta)).value
 
 
-def _twelve_terms(rng: random.Random):
-    points = [(0.7, 5.0, 0.3, -0.55)]
-    for _ in range(10):
-        k = rng.choice((0.7, 1.3, 2.5, -0.5))
-        z = rng.choice((5.0, 20.0))
-        alpha, beta = _draw_pair(rng)
-        points.append((k, z, alpha, beta))
-    for k, z, alpha, beta in points:
-        p = SeriesParams(a=z / math.pi, k=k, alpha=alpha, beta=beta)
-        yield _eval_row(
-            lambda p=p: sum(contour_term(s, p) for s in TWELVE_TERMS),
-            lambda p=p: closed_form(p))
+def _closed(k, z, alpha, beta) -> complex:
+    return closed_form(_params(k, z, alpha, beta))
+
+
+def _twelve_terms(k, z, alpha, beta) -> complex:
+    p = _params(k, z, alpha, beta)
+    return sum(contour_term(spec, p) for spec in TWELVE_TERMS)
+
+
+def _cos_form(k, z, theta_a, theta_b) -> complex:
+    return closed_form_cos(z / math.pi, k, theta_a, theta_b)
 
 
 def _plain_double_sum(p: SeriesParams) -> complex:
@@ -165,171 +169,122 @@ def _plain_double_sum(p: SeriesParams) -> complex:
     return total
 
 
-def _series_direct_sum(rng: random.Random):
-    points = [(3.0, 10.0, 0.5, -0.3)]
-    for _ in range(10):
-        k = rng.choice((1.0, 2.0, 3.0, 5.0))
-        z = rng.uniform(5.0, 30.0)
-        alpha, beta = _draw_pair(rng)
-        points.append((k, z, alpha, beta))
-    for k, z, alpha, beta in points:
-        p = SeriesParams(a=z / math.pi, k=k, alpha=alpha, beta=beta)
-        yield _eval_row(lambda p=p: series_sum(p).value,
-                        lambda p=p: _plain_double_sum(p))
+def _draw_kernel_point(rng: random.Random):
+    s = rng.uniform(0.5, 6.0)
+    r = math.exp(rng.uniform(math.log(0.5), math.log(30.0)))
+    phi = rng.uniform(-0.5 * math.pi + 0.1, 0.5 * math.pi - 0.1)
+    return s, r * cmath.exp(1j * phi)
 
 
-def _series_vs_closed(rng: random.Random):
-    policy = TruncationPolicy(mode="optimal")
-    points = [(2.5, 30.0, 0.3, -0.55)]
-    for _ in range(10):
-        k = rng.choice((0.7, 1.3, 2.5, -0.5))
-        z = rng.uniform(25.0, 40.0)
-        alpha, beta = _draw_pair(rng)
-        points.append((k, z, alpha, beta))
-    for k, z, alpha, beta in points:
-        p = SeriesParams(a=z / math.pi, k=k, alpha=alpha, beta=beta)
-        yield _eval_row(lambda p=p: series_sum(p, policy).value,
-                        lambda p=p: closed_form(p))
-
-
-def _kernel_recurrence(rng: random.Random):
-    points = [(2.5, 3.0 + 1.0j)]
-    for _ in range(10):
-        s = rng.uniform(0.5, 6.0)
-        r = math.exp(rng.uniform(math.log(0.5), math.log(30.0)))
-        phi = rng.uniform(-0.5 * math.pi + 0.1, 0.5 * math.pi - 0.1)
-        points.append((s, r * cmath.exp(1j * phi)))
-    for s, z in points:
-        yield _eval_row(
-            lambda s=s, z=z: upper_gamma(s + 1, z),
-            lambda s=s, z=z: s * upper_gamma(s, z) + cpow(z, s) * cexp(-z))
-
-
-def _prop1_limit(rng: random.Random):
-    points = [(-0.5, 10.0)]
-    for _ in range(10):
-        k = rng.choice((1.0, 2.0, -0.5, rng.uniform(0.5, 3.0)))
-        z = rng.uniform(8.0, 40.0)
-        points.append((k, z))
-    for k, z in points:
-        p = SeriesParams(a=z / math.pi, k=k, alpha=1.0, beta=1.0)
-        yield _eval_row(
-            lambda p=p: limit_eval(p, LimitSpec(kind="both-to-one")),
-            lambda k=k, z=z: prop1_value(z / math.pi, k))
-
-
-def _prop1_k1(rng: random.Random):
-    points = [10.0] + [rng.uniform(2.0, 60.0) for _ in range(10)]
-    for z in points:
-        yield _eval_row(lambda z=z: prop1_value(z / math.pi, 1.0),
-                        lambda z=z: 1.0 + 2.0 / z)
-
-
-def _prop2_cos(rng: random.Random):
-    points = [(1.3, 10.0, 0.5 * math.pi, math.pi / 3.0)]
-    while len(points) < 11:
-        k = rng.choice((0.7, 1.3, 2.5, -0.5))
+def _draw_angles(rng: random.Random):
+    while True:
+        k = rng.choice(_REAL_K)
         z = rng.uniform(5.0, 25.0)
         ta = rng.uniform(0.35, 2.75)
         tb = rng.uniform(0.35, 2.75)
         if abs(math.cos(ta) - math.cos(tb)) >= 0.1:
-            points.append((k, z, ta, tb))
-    for k, z, ta, tb in points:
-        a = z / math.pi
-        p = SeriesParams(a=a, k=k, alpha=math.cos(ta), beta=math.cos(tb))
-        yield _eval_row(lambda a=a, k=k, ta=ta, tb=tb: closed_form_cos(a, k, ta, tb),
-                        lambda p=p: closed_form(p))
+            return k, z, ta, tb
 
 
-def _example1_erfc(rng: random.Random):
-    # fixed-constant identity: no free parameters to draw
-    a = math.exp(4.0) / math.pi
-    yield _eval_row(lambda: closed_form_cos(a, -0.5, 0.5 * math.pi, 0.25 * math.pi),
-                    erfc_product_value)
-
-
-def _example2_golden(rng: random.Random):
-    r5 = math.sqrt(5.0)
-    points = [(2.0, 20.0), (3.0, 20.0)]
-    for _ in range(9):
-        points.append((rng.choice((2.0, 3.0)), rng.uniform(15.0, 25.0)))
-    for k, z in points:
-        p = SeriesParams(a=z / math.pi, k=k, alpha=r5, beta=0.5 * r5)
-        yield _eval_row(lambda k=k, z=z: golden_ratio_value(z / math.pi, k),
-                        lambda p=p: closed_form(p))
-
-
-def _diff_case(c: int):
-    def runner(rng: random.Random):
-        points = [30.0] + [rng.uniform(20.0, 40.0) for _ in range(10)]
-        for z in points:
-            p = SeriesParams(a=z / math.pi, k=2.0, alpha=float(c), beta=float(c))
-            yield _eval_row(lambda p=p: difference_series(p).value,
-                            lambda c=c, z=z: diff_closed_form(c, z / math.pi, 2.0))
-    return runner
+def _diff_cases():
+    """The five difference-identity rows, alpha = beta = c for c = 1..5."""
+    for c in range(1, 6):
+        note = " (branch-sensitive)" if c in (3, 5) else ""
+        yield VerificationCase(
+            f"diff-c{c}",
+            f"odd-shell difference identity at alpha = beta = {c}{note}",
+            "primary", 1e-6,
+            points=((30.0,),),
+            draw=lambda rng: (rng.uniform(20.0, 40.0),),
+            lhs=lambda z, c=c: difference_series(_params(2.0, z, float(c), float(c))).value,
+            rhs=lambda z, c=c: diff_closed_form(c, z / math.pi, 2.0))
 
 
 _REGISTRY = (
     VerificationCase(
         "theorem1-int-k",
         "integer-k draws: exactly terminating series equals the closed form",
-        "primary", 1e-9, _theorem1_int_k),
+        "primary", 1e-9,
+        points=((2.0, 10.0, 0.3, -0.4),),
+        draw=lambda rng: (rng.choice(_INT_K), rng.choice((2.0, 10.0)), *_draw_pair(rng)),
+        lhs=_series,
+        rhs=_closed),
     VerificationCase(
         "twelve-terms",
         "sum of the twelve decomposition addends equals the closed form",
-        "primary", 1e-11, _twelve_terms),
+        "primary", 1e-11,
+        points=((0.7, 5.0, 0.3, -0.55),),
+        draw=lambda rng: (rng.choice(_REAL_K), rng.choice((5.0, 20.0)), *_draw_pair(rng)),
+        lhs=_twelve_terms,
+        rhs=_closed),
     VerificationCase(
         "series-direct-sum",
         "shell-ordered series engine equals a plain term-by-term double sum",
-        "primary", 1e-12, _series_direct_sum),
+        "primary", 1e-12,
+        points=((3.0, 10.0, 0.5, -0.3),),
+        draw=lambda rng: (rng.choice(_INT_K), rng.uniform(5.0, 30.0), *_draw_pair(rng)),
+        lhs=_series,
+        rhs=lambda *pt: _plain_double_sum(_params(*pt))),
     VerificationCase(
         "series-vs-closed",
         "optimally truncated series matches the closed form at non-integer k",
-        "primary", 1e-9, _series_vs_closed),
+        "primary", 1e-9,
+        points=((2.5, 30.0, 0.3, -0.55),),
+        draw=lambda rng: (rng.choice(_REAL_K), rng.uniform(25.0, 40.0), *_draw_pair(rng)),
+        lhs=lambda *pt: series_sum(_params(*pt), _OPTIMAL).value,
+        rhs=_closed),
     VerificationCase(
         "kernel-recurrence",
         "incomplete gamma order-raising recurrence holds for the kernel",
-        "primary", 1e-11, _kernel_recurrence),
+        "primary", 1e-11,
+        points=((2.5, 3.0 + 1.0j),),
+        draw=_draw_kernel_point,
+        lhs=lambda s, z: upper_gamma(s + 1, z),
+        rhs=lambda s, z: s * upper_gamma(s, z) + cpow(z, s) * cexp(-z)),
     VerificationCase(
         "prop1-limit",
         "extrapolated both-arguments-to-one limit matches the all-ones formula",
-        "primary", 1e-6, _prop1_limit),
+        "primary", 1e-6,
+        points=((-0.5, 10.0),),
+        # rng.uniform inside the choice tuple draws before rng.choice does
+        draw=lambda rng: (rng.choice((1.0, 2.0, -0.5, rng.uniform(0.5, 3.0))),
+                          rng.uniform(8.0, 40.0)),
+        lhs=lambda k, z: limit_eval(_params(k, z, 1.0, 1.0), LimitSpec(kind="both-to-one")),
+        rhs=lambda k, z: prop1_value(z / math.pi, k)),
     VerificationCase(
         "prop1-k1",
         "all-ones formula at k=1 reduces to 1 + 2/(a pi)",
-        "derived-anchor", 1e-12, _prop1_k1),
+        "derived-anchor", 1e-12,
+        points=((10.0,),),
+        draw=lambda rng: (rng.uniform(2.0, 60.0),),
+        lhs=lambda z: prop1_value(z / math.pi, 1.0),
+        rhs=lambda z: 1.0 + 2.0 / z),
     VerificationCase(
         "prop2-cos",
         "angle-coordinate closed form matches the cartesian closed form",
-        "primary", 1e-10, _prop2_cos),
+        "primary", 1e-10,
+        points=((1.3, 10.0, 0.5 * math.pi, math.pi / 3.0),),
+        draw=_draw_angles,
+        lhs=_cos_form,
+        rhs=lambda k, z, ta, tb: _closed(k, z, math.cos(ta), math.cos(tb))),
     VerificationCase(
         "example1-erfc",
         "error-function reference constant matches the angle closed form",
-        "primary", 1e-10, _example1_erfc),
+        "primary", 1e-10,
+        # fixed-constant identity: no free parameters to draw
+        points=((-0.5, math.exp(4.0), 0.5 * math.pi, 0.25 * math.pi),),
+        draw=None,
+        lhs=_cos_form,
+        rhs=lambda *pt: erfc_product_value()),
     VerificationCase(
         "example2-golden",
         "golden-ratio reference formula matches the closed form",
-        "primary", 1e-9, _example2_golden),
-    VerificationCase(
-        "diff-c1",
-        "odd-shell difference identity at alpha = beta = 1",
-        "primary", 1e-6, _diff_case(1)),
-    VerificationCase(
-        "diff-c2",
-        "odd-shell difference identity at alpha = beta = 2",
-        "primary", 1e-6, _diff_case(2)),
-    VerificationCase(
-        "diff-c3",
-        "odd-shell difference identity at alpha = beta = 3 (branch-sensitive)",
-        "primary", 1e-6, _diff_case(3)),
-    VerificationCase(
-        "diff-c4",
-        "odd-shell difference identity at alpha = beta = 4",
-        "primary", 1e-6, _diff_case(4)),
-    VerificationCase(
-        "diff-c5",
-        "odd-shell difference identity at alpha = beta = 5 (branch-sensitive)",
-        "primary", 1e-6, _diff_case(5)),
+        "primary", 1e-9,
+        points=((2.0, 20.0), (3.0, 20.0)),
+        draw=lambda rng: (rng.choice((2.0, 3.0)), rng.uniform(15.0, 25.0)),
+        lhs=lambda k, z: golden_ratio_value(z / math.pi, k),
+        rhs=lambda k, z: _closed(k, z, _R5, 0.5 * _R5)),
+    *_diff_cases(),
 )
 
 _BY_ID = {case.case_id: case for case in _REGISTRY}
@@ -343,6 +298,14 @@ def case_ids():
     return tuple(case.case_id for case in _REGISTRY)
 
 
+def _severity(row):
+    # Failing rows outrank passing ones, and among them NaN ranks worst;
+    # when every row passes, the largest rel_err is reported.
+    rel_err, passed = row[3], row[4]
+    nan = math.isnan(rel_err)
+    return (not passed, nan, 0.0 if nan else rel_err)
+
+
 def run_case(case_id: str, seed: int = DEFAULT_SEED) -> CaseReport:
     """Evaluate one case at canonical + randomized points; report the worst."""
     case = _BY_ID.get(case_id)
@@ -351,14 +314,17 @@ def run_case(case_id: str, seed: int = DEFAULT_SEED) -> CaseReport:
         raise ConfigError(f"unknown case id {case_id!r}; known: {known}")
     rng = _case_rng(seed, case_id)
     start = time.perf_counter()
-    worst = None
-    for lhs, rhs, warn in case.runner(rng):
-        abs_err, rel_err, passed = compare(lhs, rhs, case.tolerance)
-        row = (rel_err, lhs, rhs, abs_err, passed, warn)
-        if worst is None or rel_err > worst[0]:
-            worst = row
+    points = list(case.points)
+    while case.draw is not None and len(points) < _POINTS_PER_CASE:
+        points.append(case.draw(rng))
+    rows = []
+    for point in points:
+        with collect() as seen:
+            lhs = case.lhs(*point)
+            rhs = case.rhs(*point)
+        rows.append((lhs, rhs, *compare(lhs, rhs, case.tolerance), frozenset(seen)))
+    lhs, rhs, abs_err, rel_err, passed, warn = max(rows, key=_severity)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    rel_err, lhs, rhs, abs_err, passed, warn = worst
     return CaseReport(
         case_id=case.case_id,
         lhs_value=lhs,

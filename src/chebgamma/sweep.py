@@ -167,13 +167,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
             policy_kwargs["rel_tol"] = float(values.pop("rel_tol"))
         except ValueError:
             raise ConfigError("rel_tol must be a float") from None
+    # Absent keys keep SweepConfig's own defaults.
+    present = {key: values[key] for key in ("mode", "output_path", "format")
+               if key in values}
     return SweepConfig(
         a=values["a"], k=values["k"], alpha=values["alpha"], beta=values["beta"],
-        mode=values.get("mode", "both"),
-        policy=TruncationPolicy(**policy_kwargs),
-        output_path=values.get("output_path", "sweep_out.csv"),
-        format=values.get("format", "csv"),
-    )
+        policy=TruncationPolicy(**policy_kwargs), **present)
 
 
 def _g17(x: float) -> str:

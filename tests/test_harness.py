@@ -12,6 +12,7 @@ from chebgamma import (
     TruncationPolicy,
     case_ids,
     compare,
+    harness,
     parse_sweep_config,
     run_all,
     run_case,
@@ -135,6 +136,37 @@ def test_seed_changes_randomized_rows():
     a = run_case("theorem1-int-k", seed=1)
     b = run_case("theorem1-int-k", seed=2)
     assert (a.lhs_value, a.rel_err) != (b.lhs_value, b.rel_err)
+
+
+def _synthetic_case(points, tol=1e-8):
+    # Each point is (lhs, rhs): the routes just hand back the point.
+    return harness.VerificationCase(
+        "synthetic", "fixed rows for the worst-row rule", "primary", tol,
+        points=tuple(points), draw=None,
+        lhs=lambda lhs, rhs: lhs, rhs=lambda lhs, rhs: rhs)
+
+
+def test_any_failing_row_fails_the_case(monkeypatch):
+    nan = float("nan")
+    # A NaN row among passing rows: the case fails and reports the NaN row.
+    monkeypatch.setitem(harness._BY_ID, "synthetic",
+                        _synthetic_case([(1.0, 1.0), (nan, 1.0), (1.0 + 1e-9, 1.0)]))
+    report = run_case("synthetic")
+    assert report.status == "fail"
+    assert math.isnan(report.rel_err)
+    # A row passing only through the near-zero fallback (rel_err 0.9) does
+    # not hide a row that truly fails (rel_err 1e-6 > tol).
+    monkeypatch.setitem(harness._BY_ID, "synthetic",
+                        _synthetic_case([(1e-9, 1e-10), (1.0 + 1e-6, 1.0)]))
+    report = run_case("synthetic")
+    assert report.status == "fail"
+    assert report.rhs_value == 1.0 and report.rel_err < 1e-5
+    # When every row passes, the largest rel_err is still the one reported.
+    monkeypatch.setitem(harness._BY_ID, "synthetic",
+                        _synthetic_case([(1.0 + 1e-9, 1.0), (1e-9, 1e-10)]))
+    report = run_case("synthetic")
+    assert report.status == "pass"
+    assert report.rel_err == pytest.approx(0.9)
 
 
 # ------------------------------------------------------------ literal parse
