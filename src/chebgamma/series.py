@@ -14,6 +14,11 @@ the smallest shell of a smooth envelope bound and report that scale as
 the error), which is the reading under which large-|a pi| evaluations
 agree with the closed form to near machine precision.
 
+The loop reads C_q from the shell stream of the ``chebyshev`` module
+(a direct convolution for the first shells, then a two-term recurrence)
+and steps the weight and z^(-q) by one factor each, so every shell costs
+O(1) work and a sum through Q shells costs O(Q).
+
 The truncation modes are two policies under three names.
 ``exact-if-terminating`` and ``optimal`` are the same policy: a
 terminating k is summed through shell k with no early stop, and any
@@ -33,12 +38,13 @@ zero when C_q oscillates, so the first-increase stopping rule is robust.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 from ._flags import NOT_IN_ASYMPTOTIC_REGIME, OVERFLOW_SATURATION, flag
-from .chebyshev import _grow_row, _shell_value, growth_radius
+from .chebyshev import _shell_stream, growth_radius
 from .complexfn import _nearest_nonpos_int
 from .errors import ConfigError, KernelDomainError, PoleError
 
@@ -125,148 +131,119 @@ def series_terminates(k):
     return _nearest_nonpos_int(-_scalar(k, "k"))
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
-class _Accumulator:
-    """Running state of the shell-major sum for plain and difference series.
-
-    ``multiplier(q)`` scales shell q; shells with multiplier 0 are skipped
-    entirely (they are identically zero, not small), so truncation logic
-    only ever sees contributing shells.
-    """
-
-    def __init__(self, params: SeriesParams, multiplier):
-        self.z = params.a_pi()
-        if self.z == 0:
-            raise KernelDomainError("a*pi must be nonzero")
-        k = params.k
-        bound = series_terminates(k)
-        if bound is not None:
-            # Snap to the exact integer: the raw offset (< 1e-12) would
-            # otherwise leave near-pole weight dust in shells past the
-            # structural bound.
-            if bound == 0:
-                raise PoleError("series weight at shell 0 is 1/k; k = 0 is a pole")
-            k = complex(float(bound), 0.0)
-        self.k = k
-        self.exact_bound = bound
-        self.mult = multiplier
-        self.alpha, self.beta = params.alpha, params.beta
-        self.ta, self.tb = [1.0 + 0.0j], [1.0 + 0.0j]  # T_n rows, grown on demand
-        self.rho = max(growth_radius(params.alpha), growth_radius(params.beta))
-        self.inv_z = 1.0 / self.z
-        # running state, advanced by advance(); shell q term and envelope
-        self.q = 0
-        self.zpow = 1.0 + 0.0j          # z^(-q)
-        self.recip = 1.0 / k            # 1/(k)_{1-q}
-        self.env = abs(self.recip)      # envelope at (q+1) rho^q |z|^-q |recip|... q=0
-        self.acc = 0.0 + 0.0j
-        self.abs_acc = 0.0
-        self.shells_used = 0
-        self.saturated = False
-
-    def term(self) -> complex:
-        m = self.mult(self.q)
-        if m == 0.0:
-            return 0.0 + 0.0j
-        q = self.q
-        ta = _grow_row(self.ta, self.alpha, q)
-        tb = _grow_row(self.tb, self.beta, q)
-        return m * _shell_value(q, ta, tb) * self.recip * self.zpow
-
-    def envelope(self) -> float:
-        m = abs(self.mult(self.q))
-        return m * self.env if m else 0.0
-
-    def contributes(self) -> bool:
-        return self.mult(self.q) != 0.0
-
-    def add_current(self):
-        t = self.term()
-        self.acc += t
-        self.abs_acc += abs(t)
-        self.shells_used += 1
-        if not _finite(self.acc):
-            self.saturated = True
-
-    def advance(self):
-        q = self.q
-        self.recip = self.recip * (self.k - q)
-        self.zpow = self.zpow * self.inv_z
-        self.env = self.env * ((q + 2) / (q + 1)) * self.rho * abs(self.inv_z) * abs(self.k - q)
-        if not (_finite(self.zpow) and math.isfinite(self.env) and _finite(self.recip)):
-            self.saturated = True
-        self.q = q + 1
-
-    def roundoff_floor(self) -> float:
-        return _ROUNDOFF_FACTOR * _EPS * self.abs_acc
-
-    def skip_to_contributing(self, limit: int):
-        # For error reporting: stand on the next shell that is actually
-        # nonzero (difference series skips even shells identically).
-        while not self.contributes() and self.q <= limit and not self.saturated:
-            self.advance()
-
-    def finish(self, termination: str, error_estimate: float, warnings: set) -> SeriesResult:
-        if self.saturated or not _finite(self.acc):
-            warnings.add(OVERFLOW_SATURATION)
-        for name in warnings:
-            flag(name)
-        return SeriesResult(
-            value=self.acc,
-            error_estimate=error_estimate,
-            shells_used=self.shells_used,
-            termination=termination,
-            warnings=frozenset(warnings),
-        )
+def _finish(acc: complex, shells_used: int, saturated: bool, termination: str,
+            error_estimate: float, warnings: set) -> SeriesResult:
+    if saturated or not cmath.isfinite(acc):
+        warnings.add(OVERFLOW_SATURATION)
+    for name in warnings:
+        flag(name)
+    return SeriesResult(
+        value=acc,
+        error_estimate=error_estimate,
+        shells_used=shells_used,
+        termination=termination,
+        warnings=frozenset(warnings),
+    )
 
 
 def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> SeriesResult:
     """The one shell loop behind every truncation mode.
 
-    A terminating k outside ``fixed`` sums through min(bound, max_shell)
-    with no early stop.  Otherwise the tolerance stop applies, and a
-    non-terminating k outside ``fixed`` also stops at the envelope upturn.
+    ``multiplier(q)`` scales shell q; shells with multiplier 0 are skipped
+    entirely (they are identically zero, not small), so truncation logic
+    only ever sees contributing shells.  A terminating k outside ``fixed``
+    sums through min(bound, max_shell) with no early stop.  Otherwise the
+    tolerance stop applies, and a non-terminating k outside ``fixed`` also
+    stops at the envelope upturn.
     """
-    acc = _Accumulator(params, multiplier)
-    bound = acc.exact_bound
+    z = params.a_pi()
+    if z == 0:
+        raise KernelDomainError("a*pi must be nonzero")
+    k = params.k
+    bound = series_terminates(k)
+    if bound is not None:
+        # Snap to the exact integer: the raw offset (< 1e-12) would
+        # otherwise leave near-pole weight dust in shells past the
+        # structural bound.
+        if bound == 0:
+            raise PoleError("series weight at shell 0 is 1/k; k = 0 is a pole")
+        k = complex(float(bound), 0.0)
+    rho = max(growth_radius(params.alpha), growth_radius(params.beta))
     fixed = policy.mode == "fixed"
     exact = bound is not None and not fixed
     warnings = set()
     if bound is None:
         # asymptotic-regime guard
-        az = abs(acc.z)
-        if az < 1.05 * acc.rho or az <= acc.rho + abs(acc.k.real):
+        az = abs(z)
+        if az < 1.05 * rho or az <= rho + abs(k.real):
             warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
     last = policy.max_shell if bound is None else min(bound, policy.max_shell)
+    rel_tol = policy.rel_tol
+    shells = _shell_stream(params.alpha, params.beta)
+    inv_z = 1.0 / z
+    abs_inv_z = abs(inv_z)
+    # running state at shell q: z^(-q), 1/(k)_{1-q} and the envelope
+    # (q+1) rho^q |z|^-q |1/(k)_{1-q}|
+    q = 0
+    zpow = 1.0 + 0.0j
+    recip = 1.0 / k
+    env = abs(recip)
+    acc = 0.0 + 0.0j
+    abs_acc = 0.0
+    used = 0
+    saturated = False
     prev_env = math.inf
-    while acc.q <= last and acc.recip != 0.0:
-        if acc.contributes():
+
+    while q <= last and recip != 0.0:
+        c = next(shells)
+        m = multiplier(q)
+        if m:
+            t = m * c * recip * zpow
             if not exact:
-                env = acc.envelope()
-                if env <= policy.rel_tol * abs(acc.acc) and acc.shells_used > 0:
-                    err = abs(acc.term()) + acc.roundoff_floor()
-                    return acc.finish("tolerance-met", err, warnings)
-                if not fixed and env > prev_env:
+                shell_env = abs(m) * env
+                if shell_env <= rel_tol * abs(acc) and used > 0:
+                    err = abs(t) + _ROUNDOFF_FACTOR * _EPS * abs_acc
+                    return _finish(acc, used, saturated, "tolerance-met", err, warnings)
+                if not fixed and shell_env > prev_env:
                     # envelope upturn: shell q is the first of the divergent
                     # tail, leave it out and report its scale
-                    if acc.q < 3:
+                    if q < 3:
                         warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
-                    err = max(env, abs(acc.term())) + acc.roundoff_floor()
-                    return acc.finish("optimal-truncation", err, warnings)
-                prev_env = env
-            acc.add_current()
-        acc.advance()
-        if acc.saturated and not exact:
-            break
+                    err = max(shell_env, abs(t)) + _ROUNDOFF_FACTOR * _EPS * abs_acc
+                    return _finish(acc, used, saturated, "optimal-truncation", err, warnings)
+                prev_env = shell_env
+            acc += t
+            abs_acc += abs(t)
+            used += 1
+        # step to shell q + 1; one check per shell covers the sum and the
+        # weights, before the saturation break (the exact sum runs on)
+        kq = k - q
+        recip = recip * kq
+        zpow = zpow * inv_z
+        env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
+        q += 1
+        if not (cmath.isfinite(acc) and cmath.isfinite(zpow) and math.isfinite(env)
+                and cmath.isfinite(recip)):
+            saturated = True
+            if not exact:
+                break
     # past the bound the weight is 0, or nan once it has overflowed
-    if acc.recip == 0.0 or (bound is not None and acc.q > bound):
-        return acc.finish("terminated-exactly", 0.0, warnings)
-    acc.skip_to_contributing(policy.max_shell + 2)
-    err = acc.envelope() + acc.roundoff_floor()
-    return acc.finish("budget-exhausted", err, warnings)
+    if recip == 0.0 or (bound is not None and q > bound):
+        return _finish(acc, used, saturated, "terminated-exactly", 0.0, warnings)
+    # For error reporting: stand on the next shell that is actually
+    # nonzero (difference series skips even shells identically).  The step
+    # is the loop's own, minus the sum's check: the sum no longer changes.
+    while not multiplier(q) and q <= policy.max_shell + 2 and not saturated:
+        kq = k - q
+        recip = recip * kq
+        zpow = zpow * inv_z
+        env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
+        q += 1
+        if not (cmath.isfinite(zpow) and math.isfinite(env) and cmath.isfinite(recip)):
+            saturated = True
+    m = abs(multiplier(q))
+    err = (m * env if m else 0.0) + _ROUNDOFF_FACTOR * _EPS * abs_acc
+    return _finish(acc, used, saturated, "budget-exhausted", err, warnings)
 
 
 def _unit_multiplier(q: int) -> float:

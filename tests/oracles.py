@@ -2,13 +2,15 @@
 
 Everything here is deliberately written from the defining formulas with
 none of the library's algorithmic choices (no continued fractions, no
-shell convolution, no closed forms), so agreement is evidence rather
-than tautology.
+shell recurrence, no closed forms; the one oracle for shell coefficients
+sums their definition in exact arithmetic), so agreement is evidence
+rather than tautology.
 """
 
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 from scipy.integrate import IntegrationWarning, quad
 
@@ -111,3 +113,30 @@ def difference_sum_direct(alpha, k, a_pi, shells):
                     * falling_recip_direct(k, q) / complex(a_pi) ** q)
             total += term
     return total
+
+
+def shell_values_exact(q_max, alpha, beta):
+    """C_0..C_{q_max} for real float arguments, in exact arithmetic.
+
+    Returns ``(values, scales)`` as Fractions: each C_q = sum_n T_n(alpha)
+    T_{q-n}(beta) straight from its defining sum, and the matching
+    sum_n |T_n(alpha) T_{q-n}(beta)|, the size that double-precision
+    roundoff in C_q is measured against.  A float is m / 2^e exactly, so
+    T_n(m / 2^e) 2^(e n) is an integer and every sum runs on integers.
+    """
+    rows = []
+    for x in (alpha, beta):
+        m, d = float(x).as_integer_ratio()
+        row = [1, m]                       # T_n(x) d^n
+        while len(row) <= q_max:
+            row.append(2 * m * row[-1] - d * d * row[-2])
+        rows.append((row, d.bit_length() - 1))
+    (ta, ea), (tb, eb) = rows
+    e = max(ea, eb)
+    values, scales = [], []
+    for q in range(q_max + 1):
+        # term n carries 2^-(ea n + eb (q-n)); bring all to 2^-(e q)
+        terms = [(ta[n] * tb[q - n]) << (e * q - ea * n - eb * (q - n)) for n in range(q + 1)]
+        values.append(Fraction(sum(terms), 1 << (e * q)))
+        scales.append(Fraction(sum(abs(t) for t in terms), 1 << (e * q)))
+    return values, scales

@@ -19,7 +19,10 @@ from chebgamma import (
     difference_series,
     series_sum,
     series_terminates,
+    shell_coeff,
+    shell_values,
 )
+from chebgamma.chebyshev import _DIRECT_SHELLS
 from oracles import double_sum_direct, finite_series_exact
 
 E4 = math.exp(4.0)
@@ -114,6 +117,28 @@ def test_swap_symmetry_one_ulp():
         va = series_sum(params(alpha, beta, k, z)).value
         vb = series_sum(params(beta, alpha, k, z)).value
         assert abs(va - vb) <= 2.3e-16 * abs(va)
+
+
+def test_deep_shells_keep_symmetry_and_agree():
+    # Shells past the direct start come from the recurrence stream; swapping
+    # alpha and beta must still be bit-identical, single shells must read
+    # the same stream, and a deep exact sum must match the enumeration.
+    rng = random.Random(37)
+    for _ in range(12):
+        k = float(rng.randint(60, 170))
+        alpha = complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.3, 0.3))
+        beta = complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.3, 0.3))
+        z = rng.uniform(1.0, 3.0) * k
+        for fn in (series_sum, difference_series):
+            va = fn(params(alpha, beta, k, z)).value
+            vb = fn(params(beta, alpha, k, z)).value
+            assert math.isfinite(abs(va)) and va == vb
+        q = rng.randrange(_DIRECT_SHELLS, 4 * _DIRECT_SHELLS)
+        assert shell_coeff(q, alpha, beta).value == shell_values(q, alpha, beta)[q]
+    alpha, beta, k, z = 0.35, -0.6, 120, 150.0
+    res = series_sum(params(alpha, beta, float(k), z))
+    assert res.shells_used == k + 1
+    assert rel(res.value, finite_series_exact(alpha, beta, k, z)) < 1e-12
 
 
 # ------------------------------------------------------- difference series
