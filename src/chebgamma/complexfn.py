@@ -8,9 +8,12 @@ reproducible for arguments that land exactly on the cut.
 Regime map for the incomplete gamma function Gamma(s, z):
 
 * ``|z| < 1.5 * (1 + |s|)``      lower-gamma power series, then Gamma - gamma
-* large ``|z|`` hugging the negative real axis (``|z| + Re z`` small)
-  reflected lower-gamma series (terms of one sign there, so no exponential
-  cancellation), then subtract
+* large ``|z|`` hugging the negative real axis (``|z| + Re z`` small):
+  once ``|z| >= 40 + 2|s|``, the large-|z| asymptotic expansion
+  (DLMF 8.11.2), a few dozen terms at most; below that, or if the
+  expansion does not settle, the reflected lower-gamma series (terms of
+  one sign there, so no exponential cancellation, but O(|z|) of them),
+  then subtract
 * everywhere else   Legendre continued fraction (modified Lentz, budget
   10000, tolerance 1e-15 on successive convergents)
 
@@ -50,6 +53,14 @@ _CF_TOL = 1e-15
 # fraction covers the rest of the large-|z| plane.
 _REFLECT_MAX_CANCEL = 4.0
 _EXP_OVERFLOW = 709.0
+# The asymptotic expansion runs near the cut once |z| >= _ASYMPTOTIC_MIN_Z
+# + 2|s|.  The 2|s| keeps the term ratio |s - n|/|z| below 1/2 for n < 20,
+# and at |z| = 40 the smallest term of the s = 0 expansion, about
+# sqrt(2 pi |z|) e^-|z| = 7e-17, is already near round-off.  Points where
+# it does not reach round-off within _ASYMPTOTIC_BUDGET terms fall back to
+# the reflected series, so the constants trade speed, not accuracy.
+_ASYMPTOTIC_MIN_Z = 40.0
+_ASYMPTOTIC_BUDGET = 64
 _SNAP = 1e-12
 
 
@@ -219,7 +230,13 @@ def _lower_series_reflected(s: complex, z: complex) -> complex:
             return p
         term = (s / (s + n)) * p
         total += term
-        if n > abs(w) and abs(term) <= 1e-17 * abs(total):
+        try:
+            done = n > abs(w) and abs(term) <= 1e-17 * abs(total)
+        except OverflowError:
+            # the sum is finite but its modulus outgrows a double: saturate
+            flag(OVERFLOW_SATURATION)
+            return cmath.rect(math.inf, cmath.phase(total))
+        if done:
             return (cpow(z, s) / s) * total
     raise NonConvergenceError(f"reflected lower-gamma series stalled at s={s}, z={z}")
 
@@ -228,6 +245,34 @@ def _lower_gamma_series(s: complex, z: complex) -> complex:
     if z.real < 0.0:
         return _lower_series_reflected(s, z)
     return _lower_series_direct(s, z)
+
+
+def _upper_asymptotic(s: complex, z: complex):
+    # Gamma(s,z) ~ z^(s-1) e^-z sum_n (s-1)(s-2)...(s-n) / z^n, DLMF 8.11.2.
+    # Returns None when a term grows or the budget runs out before the
+    # terms reach round-off: the caller then takes the reflected series.
+    term = 1.0 + 0.0j
+    total = term
+    size = 1.0
+    for n in range(1, _ASYMPTOTIC_BUDGET):
+        term *= (s - n) / z
+        prev, size = size, abs(term)
+        if size > prev:
+            return None
+        total += term
+        if size <= 1e-17 * abs(total):
+            # Split prefactor while each factor and the value stay in
+            # range: exp(-z) of the exact z is correctly rounded, while the
+            # combined exponent carries an absolute rounding error of
+            # eps |z|.  Past that range one exponent, with the sum folded
+            # in, saturates to inf instead of nan.
+            a = (s - 1.0) * clog(z)
+            if abs(a.real) < _EXP_OVERFLOW and -z.real < _EXP_OVERFLOW:
+                g = cexp(a) * cexp(-z) * total
+                if cmath.isfinite(g):
+                    return g
+            return cexp(a - z + clog(total))
+    return None
 
 
 def _upper_cf(s: complex, z: complex) -> complex:
@@ -317,6 +362,12 @@ def upper_gamma(s, z) -> complex:
     # e^(|z| + Re z) there while the fraction keeps full accuracy.
     series_radius = 1.5 * (1.0 + abs(s)) if s.real >= 0.0 else 1.5
     near_cut = abs(z) + z.real <= _REFLECT_MAX_CANCEL
+    if near_cut and abs(z) >= _ASYMPTOTIC_MIN_Z + 2.0 * abs(s):
+        # Far out along the cut the asymptotic expansion replaces the
+        # O(|z|) reflected series, which stays as its fallback.
+        g = _upper_asymptotic(s, z)
+        if g is not None:
+            return g
     if near_cut or (abs(z) < series_radius and z.real >= 0.0):
         return gamma_fn(s) - _lower_gamma_series(s, z)
     return _upper_cf(s, z)

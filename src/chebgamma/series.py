@@ -199,22 +199,29 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
         m = multiplier(q)
         if m:
             t = m * c * recip * zpow
-            if not exact:
-                shell_env = abs(m) * env
-                if shell_env <= rel_tol * abs(acc) and used > 0:
-                    err = abs(t) + _ROUNDOFF_FACTOR * _EPS * abs_acc
-                    return _finish(acc, used, saturated, "tolerance-met", err, warnings)
-                if not fixed and shell_env > prev_env:
-                    # envelope upturn: shell q is the first of the divergent
-                    # tail, leave it out and report its scale
-                    if q < 3:
-                        warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
-                    err = max(shell_env, abs(t)) + _ROUNDOFF_FACTOR * _EPS * abs_acc
-                    return _finish(acc, used, saturated, "optimal-truncation", err, warnings)
-                prev_env = shell_env
-            acc += t
-            abs_acc += abs(t)
-            used += 1
+            try:
+                if not exact:
+                    shell_env = abs(m) * env
+                    if shell_env <= rel_tol * abs(acc) and used > 0:
+                        err = abs(t) + _ROUNDOFF_FACTOR * _EPS * abs_acc
+                        return _finish(acc, used, saturated, "tolerance-met", err, warnings)
+                    if not fixed and shell_env > prev_env:
+                        # envelope upturn: shell q is the first of the
+                        # divergent tail, leave it out and report its scale
+                        if q < 3:
+                            warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
+                        err = max(shell_env, abs(t)) + _ROUNDOFF_FACTOR * _EPS * abs_acc
+                        return _finish(acc, used, saturated, "optimal-truncation", err, warnings)
+                    prev_env = shell_env
+                acc += t
+                used += 1
+                abs_acc += abs(t)
+            except OverflowError:
+                # a finite shell or sum whose modulus outgrows a double
+                saturated = True
+                abs_acc = math.inf
+                if not exact:
+                    break
         # step to shell q + 1; one check per shell covers the sum and the
         # weights, before the saturation break (the exact sum runs on)
         kq = k - q
@@ -227,8 +234,10 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
             saturated = True
             if not exact:
                 break
-    # past the bound the weight is 0, or nan once it has overflowed
-    if recip == 0.0 or (bound is not None and q > bound):
+    # past the bound the weight is 0, or nan once it has overflowed; the
+    # shells left out up to the bound may all be identically zero
+    if recip == 0.0 or (bound is not None
+                        and not any(multiplier(j) for j in range(q, bound + 1))):
         return _finish(acc, used, saturated, "terminated-exactly", 0.0, warnings)
     # For error reporting: stand on the next shell that is actually
     # nonzero (difference series skips even shells identically).  The step

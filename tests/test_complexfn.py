@@ -290,6 +290,15 @@ def test_nonpos_int_order_saturates_past_double_range():
     assert "overflow-saturation" in flags
 
 
+def test_reflected_series_saturates_when_its_sum_outgrows_a_double():
+    # The reflected sum stays finite while its modulus passes the double
+    # range (Gamma(377, .) is far past it): flag, never a bare OverflowError.
+    with collect() as flags:
+        v = upper_gamma(377.0635858689633, -711.5185012385867 - 2.21760898831898j)
+    assert not cmath.isfinite(v)
+    assert "overflow-saturation" in flags
+
+
 # ------------------------------------------------------------- pochhammer
 
 def test_pochhammer_recip_examples():

@@ -281,3 +281,28 @@ def test_stop_paths_are_pinned(fn, point, mode, max_shell, expected):
         return
     assert (res.value, res.error_estimate, res.shells_used, res.termination,
             res.warnings) == expected
+
+
+@pytest.mark.parametrize("fn, point", [
+    (series_sum, (0.41604005412965894, 0.8974609795516566 + 0.07079481248460817j,
+                  216.0, 0.5659373537203659)),
+    (difference_series, (0.7701201407593221, -1.1039435114636047 - 0.4165866162119851j,
+                         152.0, 0.27444987193445824)),
+])
+@pytest.mark.parametrize("mode", ["exact-if-terminating", "optimal"])
+def test_shell_modulus_overflow_saturates(fn, point, mode):
+    # the exact sum meets a finite shell whose modulus outgrows a double
+    # (abs() raises for it): flagged saturation, never a bare OverflowError
+    res = fn(params(*point), TruncationPolicy(mode=mode))
+    assert res.termination == "terminated-exactly"
+    assert "overflow-saturation" in res.warnings
+
+
+def test_budget_that_only_leaves_out_zero_shells_terminates_exactly():
+    # k = 6: the odd-shell difference series ends at q = 5, so the budget
+    # max_shell = 5 leaves out only the identically zero shell q = 6
+    point = params(0.3, 0.4, 6.0, 30.0)
+    short = difference_series(point, TruncationPolicy(max_shell=5))
+    full = difference_series(point, TruncationPolicy(max_shell=6))
+    assert full.termination == "terminated-exactly"
+    assert short == full
