@@ -5,20 +5,25 @@ required).  Branch convention throughout: principal branch, with the
 negative real axis assigned arg z = +pi (upper side), so results are
 reproducible for arguments that land exactly on the cut.
 
-Regime map for the incomplete gamma function Gamma(s, z):
+Regime map for the incomplete gamma function Gamma(s, z), one decision
+for every order s:
 
-* ``|z| < 1.5 * (1 + |s|)``      lower-gamma power series, then Gamma - gamma
-* large ``|z|`` hugging the negative real axis (``|z| + Re z`` small):
-  once ``|z| >= 40 + 2|s|``, the large-|z| asymptotic expansion
-  (DLMF 8.11.2), a few dozen terms at most; below that, or if the
-  expansion does not settle, the reflected lower-gamma series (terms of
-  one sign there, so no exponential cancellation, but O(|z|) of them),
-  then subtract
+* large ``|z|`` hugging the negative real axis (``|z| + Re z <= 4``)
+  with ``|z| >= 40 + 2|s|``: the large-|z| asymptotic expansion
+  (DLMF 8.11.2), a few dozen terms at most; if it does not settle, the
+  series pocket below
+* the series pocket, ``|z| + Re z <= 4`` or ``|z| < 1.5 * (1 + |s|)``
+  with ``Re z >= 0`` (radius 1.5 once Re s < 0): Gamma(s) - gamma(s, z),
+  with gamma from the power series for ``Re z >= 0`` and from Kummer's
+  series sum_n (-z)^n / (n! (s + n)) for ``Re z < 0`` (terms of one sign
+  near the cut, so no exponential cancellation, but O(|z|) of them).  At
+  a non-positive integer s = -m, where Gamma(s) has a pole, the pocket
+  takes the s -> -m limit of Kummer's series instead (DLMF 8.4.15),
+  summed by the same loop with the n = m term left out
 * everywhere else   Legendre continued fraction (modified Lentz, budget
-  10000, tolerance 1e-15 on successive convergents)
-
-plus a dedicated path for s at a non-positive integer, where the
-``Gamma(s) - gamma(s, z)`` split has a removable pole.
+  10000, tolerance 1e-15 on successive convergents); left of the
+  imaginary axis it settles on wrong values where ``|z|`` is well below
+  ``|s|``, an open defect
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ _EXP_OVERFLOW = 709.0
 # and at |z| = 40 the smallest term of the s = 0 expansion, about
 # sqrt(2 pi |z|) e^-|z| = 7e-17, is already near round-off.  Points where
 # it does not reach round-off within _ASYMPTOTIC_BUDGET terms fall back to
-# the reflected series, so the constants trade speed, not accuracy.
+# the series pocket, so the constants trade speed, not accuracy.
 _ASYMPTOTIC_MIN_Z = 40.0
 _ASYMPTOTIC_BUDGET = 64
 _SNAP = 1e-12
@@ -215,30 +220,60 @@ def _lower_series_direct(s: complex, z: complex) -> complex:
     raise NonConvergenceError(f"lower-gamma series stalled at s={s}, z={z}")
 
 
-def _lower_series_reflected(s: complex, z: complex) -> complex:
-    # gamma(s,z) = (z^s / s) sum_n [s/(s+n)] (-z)^n / n!;  for Re z < 0 the
-    # powers of -z do not alternate, so the sum is cancellation-free near
-    # the negative real axis at any |z| the exp can represent.
+def _kummer_sum(s: complex, z: complex, skip: int = -1):
+    # sum_{n != skip} (-z)^n / (n! (s + n)), and (-z)^skip / skip! beside it.
+    # For Re z < 0 the powers of -z do not alternate, so the sum is
+    # cancellation-free near the negative real axis at any |z| the exp can
+    # represent.  The stop waits for the skipped index, whose power the
+    # integer-order caller needs.
     w = -z
     p = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    budget = _ITER_BUDGET + int(2 * abs(w))
+    at_skip = p
+    total = 0.0j if skip == 0 else 1.0 / s
+    budget = _ITER_BUDGET + int(2 * abs(w)) + skip
     for n in range(1, budget):
         p *= w / n
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             flag(OVERFLOW_SATURATION)
-            return p
-        term = (s / (s + n)) * p
+            return cmath.rect(math.inf, cmath.phase(total)), at_skip
+        if n == skip:
+            at_skip = p
+            continue
+        term = p / (s + n)
         total += term
         try:
-            done = n > abs(w) and abs(term) <= 1e-17 * abs(total)
+            done = n > abs(w) and n > skip and abs(term) <= 1e-17 * abs(total)
         except OverflowError:
             # the sum is finite but its modulus outgrows a double: saturate
             flag(OVERFLOW_SATURATION)
-            return cmath.rect(math.inf, cmath.phase(total))
+            return cmath.rect(math.inf, cmath.phase(total)), at_skip
         if done:
-            return (cpow(z, s) / s) * total
-    raise NonConvergenceError(f"reflected lower-gamma series stalled at s={s}, z={z}")
+            return total, at_skip
+    raise NonConvergenceError(f"Kummer series stalled at s={s}, z={z}")
+
+
+def _power_times(z: complex, s: complex, total: complex) -> complex:
+    # z^s * total.  Past the exponent range z^s alone under- or overflows
+    # while the product need not, so the sum is folded into one exponent.
+    a = s * clog(z)
+    if abs(a.real) < _EXP_OVERFLOW and cmath.isfinite(total):
+        return cexp(a) * total
+    return cexp(a + clog(total))
+
+
+def _lower_series_reflected(s: complex, z: complex) -> complex:
+    # gamma(s,z) = z^s sum_n (-z)^n / (n! (s+n)), Kummer's series.
+    return _power_times(z, s, _kummer_sum(s, z)[0])
+
+
+def _upper_series_nonpos_int(m: int, z: complex) -> complex:
+    # DLMF 8.4.15, the s -> -m limit of Kummer's series:
+    # Gamma(-m, z) = z^-m [p (psi(m+1) - log z) - sum_{n != m} (-z)^n / (n! (n-m))]
+    # with p = (-z)^m / m!, so that z^-m p = (-1)^m / m! never needs m!.
+    s = complex(-m)
+    total, p = _kummer_sum(s, z, m)
+    psi = math.fsum(1.0 / j for j in range(1, m + 1)) - _EULER_GAMMA
+    return _power_times(z, s, p * (psi - clog(z)) - total)
 
 
 def _lower_gamma_series(s: complex, z: complex) -> complex:
@@ -250,7 +285,7 @@ def _lower_gamma_series(s: complex, z: complex) -> complex:
 def _upper_asymptotic(s: complex, z: complex):
     # Gamma(s,z) ~ z^(s-1) e^-z sum_n (s-1)(s-2)...(s-n) / z^n, DLMF 8.11.2.
     # Returns None when a term grows or the budget runs out before the
-    # terms reach round-off: the caller then takes the reflected series.
+    # terms reach round-off: the caller then takes the series pocket.
     term = 1.0 + 0.0j
     total = term
     size = 1.0
@@ -303,41 +338,6 @@ def _upper_cf(s: complex, z: complex) -> complex:
     )
 
 
-def _e1_series(z: complex) -> complex:
-    # E_1(z) = -euler_gamma - log z - sum_{n>=1} (-z)^n / (n n!); convergent
-    # everywhere, cancellation-bounded by exp(|z| - |Re z|) so it is the
-    # right tool near the negative real axis.
-    total = -_EULER_GAMMA - clog(z)
-    p = 1.0 + 0.0j
-    budget = _ITER_BUDGET + int(2 * abs(z))
-    for n in range(1, budget):
-        p *= -z / n
-        if not (math.isfinite(p.real) and math.isfinite(p.imag)):
-            # the terms outgrow a double before they turn: saturate
-            flag(OVERFLOW_SATURATION)
-            return -p
-        term = -p / n
-        total += term
-        if n > abs(z) and abs(term) <= 1e-17 * (abs(total) + 1e-300):
-            return total
-    raise NonConvergenceError(f"E1 series stalled at z={z}")
-
-
-def _upper_gamma_nonpos_int(m: int, z: complex) -> complex:
-    # Gamma(-m, z) for integer m >= 0: start from Gamma(0, z) = E_1(z) and
-    # recurse downward, Gamma(s-1, z) = (Gamma(s, z) - z^{s-1} e^-z)/(s - 1).
-    if abs(z) >= 1.5 and abs(z) + z.real > _REFLECT_MAX_CANCEL:
-        g = _upper_cf(0.0 + 0.0j, z)
-    else:
-        g = _e1_series(z)
-    if m == 0:
-        return g
-    ez = cexp(-z)
-    for j in range(1, m + 1):
-        g = (g - cpow(z, complex(-j)) * ez) / (-j)
-    return g
-
-
 def upper_gamma(s, z) -> complex:
     """Upper incomplete gamma Gamma(s, z), principal branch.
 
@@ -351,24 +351,28 @@ def upper_gamma(s, z) -> complex:
         if s.real > 0:
             return gamma_fn(s)
         raise KernelDomainError("upper_gamma(s, 0) requires Re(s) > 0")
-    m = _nearest_nonpos_int(s)
-    if m is not None:
-        return _upper_gamma_nonpos_int(m, z)
     # For Re(s) < 0 the subtraction Gamma(s) - gamma(s, z) cancels as soon
     # as |z| is a little past 1, while the continued fraction stays sharp
     # all the way down, so the series pocket shrinks with Re(s) < 0.  Left
     # half-plane z inside the pocket still goes to the continued fraction
     # once past the reflection budget: the reflected series cancels like
-    # e^(|z| + Re z) there while the fraction keeps full accuracy.
+    # e^(|z| + Re z) there.  The fraction keeps full accuracy there except
+    # where |z| < |s|: below |z|/|s| of about 0.6 its Lentz iteration loses
+    # digits, and below 0.5 it settles on a wrong value (an open defect).
+    # One decision serves every s; only the series pocket splits off the
+    # non-positive integers, where Gamma(s) has a pole.
     series_radius = 1.5 * (1.0 + abs(s)) if s.real >= 0.0 else 1.5
     near_cut = abs(z) + z.real <= _REFLECT_MAX_CANCEL
     if near_cut and abs(z) >= _ASYMPTOTIC_MIN_Z + 2.0 * abs(s):
         # Far out along the cut the asymptotic expansion replaces the
-        # O(|z|) reflected series, which stays as its fallback.
+        # O(|z|) Kummer series, which stays as its fallback.
         g = _upper_asymptotic(s, z)
         if g is not None:
             return g
     if near_cut or (abs(z) < series_radius and z.real >= 0.0):
+        m = _nearest_nonpos_int(s)
+        if m is not None:
+            return _upper_series_nonpos_int(m, z)
         return gamma_fn(s) - _lower_gamma_series(s, z)
     return _upper_cf(s, z)
 

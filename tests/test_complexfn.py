@@ -282,10 +282,15 @@ def test_erfc_saturation_flags_not_errors():
 
 
 def test_nonpos_int_order_saturates_past_double_range():
-    # Gamma(-2, -720) is about e^720: the E1 start overflows a double and
-    # must saturate with the flag instead of stalling.
+    # Gamma(-2, -720) is about e^720 / 720^3, still a double: its value,
+    # unflagged.  Gamma(-2, -800), about 1e341, is past the double range
+    # and must saturate with the flag instead of stalling.
     with collect() as flags:
         v = upper_gamma(-2, -720)
+    assert rel(v, -1.3238700685830825e304) < 1e-13
+    assert "overflow-saturation" not in flags
+    with collect() as flags:
+        v = upper_gamma(-2, -800)
     assert not (math.isfinite(v.real) and math.isfinite(v.imag))
     assert "overflow-saturation" in flags
 

@@ -1,10 +1,21 @@
-"""Seeded fuzz of Gamma(s, w) next to its cut against mpmath.
+"""Seeded fuzzes of Gamma(s, w) and E_n(w) against mpmath.
 
-The band is the one the closed forms reach for arguments outside [-1, 1]:
-|w| from 30 to 3000 within |w| + Re w <= 4 of the negative real axis,
-the exact axis included, with real s in [-6, 60] (never a non-positive
-integer) and complex s.  Two kernels share it: the large-|w| asymptotic
-expansion and the reflected lower-gamma series below its threshold.
+The first band is the one the closed forms reach for arguments outside
+[-1, 1]: |w| from 30 to 3000 within |w| + Re w <= 4 of the negative real
+axis, the exact axis included, with real s in [-6, 60] (never a
+non-positive integer) and complex s.  Two kernels share it: the large-|w|
+asymptotic expansion and Kummer's series below its threshold.
+
+The other fuzzes hold every regime to 1e-10 relative where the closed
+forms need it most:
+
+* non-positive integer orders s = -m, m = 0..6 and 7..200, |w| from 0.05
+  to 3000 at any angle and next to the cut (the paper's integer k <= 0
+  needs Gamma(k, .), Gamma(k+1, .), Gamma(k+2, .) at such orders);
+* Re s in [-400, -20] next to the cut, below the asymptotic threshold,
+  where w^s alone underflows while Gamma(s, w) is a normal double;
+* E_n(w) = w^(n-1) Gamma(1-n, w) for n = 1..7, at any angle and next to
+  the cut.
 """
 
 import cmath
@@ -13,7 +24,7 @@ import random
 
 import pytest
 
-from chebgamma import complexfn, upper_gamma
+from chebgamma import complexfn, exp_integral_e, upper_gamma
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -37,9 +48,17 @@ def draw_s(rng, hi=60.0):
 
 def near_cut(rng, radius):
     """w with |w| = radius and |w| + Re w in [0, 4], a third on the axis."""
-    gap = 0.0 if rng.random() < 1 / 3 else rng.uniform(0.0, 4.0)
+    gap = 0.0 if rng.random() < 1 / 3 else rng.uniform(0.0, min(4.0, 2.0 * radius))
     im = math.sqrt(gap * (2.0 * radius - gap))
     return complex(gap - radius, rng.choice((im, -im)))
+
+
+def any_angle(rng, radius):
+    return cmath.rect(radius, rng.uniform(-math.pi, math.pi))
+
+
+def log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
 def draws(seed, count):
@@ -51,7 +70,7 @@ def draws(seed, count):
             s, radius = draw_s(rng, 0.0), rng.uniform(705.0, 760.0)
         else:
             s = draw_s(rng)
-            radius = math.exp(rng.uniform(math.log(30.0), math.log(3000.0)))
+            radius = log_uniform(rng, 30.0, 3000.0)
         out.append((s, near_cut(rng, radius)))
     return out
 
@@ -61,17 +80,23 @@ def reference(s, w):
         return complex(mpmath.gammainc(mpmath.mpc(s), a=mpmath.mpc(w)))
 
 
+def assert_matches(pairs, kernel, ref, bound=1e-10):
+    """Every draw whose reference is a normal double agrees to bound."""
+    checked = 0
+    for s, w in pairs:
+        want = ref(s, w)
+        if not (cmath.isfinite(want) and 1e-300 < abs(want) < 1e300):
+            continue
+        got = kernel(s, w)
+        assert cmath.isfinite(got), (s, w, want)
+        assert rel(got, want) <= bound, (s, w, got, want)
+        checked += 1
+    return checked
+
+
 @pytest.mark.parametrize("seed, count", SEEDS)
 def test_near_cut_matches_mpmath(seed, count):
-    checked = 0
-    for s, w in draws(seed, count):
-        want = reference(s, w)
-        if not (cmath.isfinite(want) and abs(want) < 1e300):
-            continue
-        got = upper_gamma(s, w)
-        assert cmath.isfinite(got), (s, w, want)
-        assert rel(got, want) <= 1e-12, (s, w, got, want)
-        checked += 1
+    checked = assert_matches(draws(seed, count), upper_gamma, reference, 1e-12)
     assert checked >= count // 2
 
 
@@ -90,3 +115,38 @@ def test_regimes_agree_at_the_threshold():
             assert rel(asymptotic, reflected) <= 1e-13, (s, w, asymptotic, reflected)
             compared += 1
     assert compared >= 300
+
+
+@pytest.mark.parametrize("seed, count, lo, hi", ((1, 60, 0, 6), (2, 20, 7, 200)))
+def test_nonpositive_integer_orders_match_mpmath(seed, count, lo, hi):
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        s, radius = complex(-rng.randint(lo, hi)), log_uniform(rng, 0.05, 3000.0)
+        pairs.append((s, near_cut(rng, radius) if i % 2 else any_angle(rng, radius)))
+    assert assert_matches(pairs, upper_gamma, reference) >= count * 3 // 4
+
+
+def test_far_negative_orders_next_to_the_cut_match_mpmath():
+    rng = random.Random(3)
+    pairs = []
+    for _ in range(40):
+        s = complex(rng.uniform(-400.0, -20.0), rng.choice((0.0, rng.uniform(-20.0, 20.0))))
+        # |w| >= |s| keeps many values normal doubles while w^s underflows
+        radius = rng.uniform(abs(s), complexfn._ASYMPTOTIC_MIN_Z + 2.0 * abs(s))
+        pairs.append((s, near_cut(rng, radius)))
+    assert assert_matches(pairs, upper_gamma, reference) >= 10
+
+
+def test_exp_integral_e_matches_mpmath():
+    rng = random.Random(4)
+    pairs = []
+    for i in range(50):
+        n, radius = rng.randint(1, 7), log_uniform(rng, 0.05, 3000.0)
+        pairs.append((n, near_cut(rng, radius) if i % 2 else any_angle(rng, radius)))
+
+    def ref(n, w):
+        with mpmath.workdps(30):
+            return complex(mpmath.expint(n, mpmath.mpc(w)))
+
+    assert assert_matches(pairs, exp_integral_e, ref) >= 35
