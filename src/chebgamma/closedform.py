@@ -7,7 +7,9 @@ Two independent routes to the same value are implemented on purpose:
   to the series value;
 * ``closed_form``: the assembled sixteen-addend bracket with its own
   prefactor, grouped by root: one loop over the four Chebyshev roots
-  x -+ i sqrt(1 - x^2), three incomplete gammas each.
+  x -+ i sqrt(1 - x^2), three incomplete gammas each.  Those factors
+  depend on one variable only, so they are computed as one root pair per
+  variable, which a sweep shares across the points of an (a, k) block.
 
 They share only the scalar kernels, so agreement between them is a real
 cross-check on the transcription.  ``closed_form_cos`` is the same
@@ -164,6 +166,47 @@ def contour_term(spec: ContourTermSpec, params: SeriesParams) -> complex:
             * upper_gamma(order, z * big_x) * norm)
 
 
+def _root_pair(z: complex, k: complex, x: complex) -> tuple:
+    """The factors of closed_form that depend on one variable x alone.
+
+    Returns (s, roots) with s = sqrt(1-x^2) and, for the roots X = x - i s
+    and x + i s in that order, the factors (e^(z X), X^(-k-2), G(k+2),
+    X^(-k-1), G(k+1), X^(-k), G(k)) with G(t) = Gamma(t, z X).  A sweep
+    block at fixed (a, k) computes this once per grid value of x.
+    """
+    s = csqrt(1.0 - x * x)
+    roots = []
+    for big_x in (x - 1j * s, x + 1j * s):
+        zx = z * big_x
+        roots.append((cexp(zx),
+                      cpow(big_x, -k - 2), upper_gamma(k + 2, zx),
+                      cpow(big_x, -k - 1), upper_gamma(k + 1, zx),
+                      cpow(big_x, -k), upper_gamma(k, zx)))
+    return s, tuple(roots)
+
+
+def _assemble(params: SeriesParams, root_pair) -> complex:
+    """closed_form, with each variable's root pair from root_pair(z, k, x).
+
+    The weights, the coefficients alpha+beta and alpha beta, and the
+    prefactor are applied here; closed_form passes ``_root_pair`` itself.
+    """
+    _check_regular(params)
+    z = params.a_pi()
+    k, alpha, beta = params.k, params.alpha, params.beta
+    sa, alpha_roots = root_pair(z, k, alpha)
+    sb, beta_roots = root_pair(z, k, beta)
+    bracket = 0j
+    for weight, (e, p2, g2, p1, g1, p0, g0) in zip(
+            (sb, -sb, -sa, sa), alpha_roots + beta_roots):
+        bracket += weight * e * (
+            p2 * g2
+            - (k + 1) * (alpha + beta) * p1 * g1
+            + k * (k + 1) * alpha * beta * p0 * g0)
+    pref = 1.0 / (4j * k * (k + 1) * cpow(z, k) * sa * (alpha - beta) * sb)
+    return pref * bracket
+
+
 def closed_form(params: SeriesParams) -> complex:
     """The assembled bracket: one residue group per Chebyshev root.
 
@@ -171,23 +214,12 @@ def closed_form(params: SeriesParams) -> complex:
     (sa = sqrt(1-alpha^2), sb = sqrt(1-beta^2)).  Root X contributes
     e^(z X) [X^(-k-2) G(k+2) - (k+1)(alpha+beta) X^(-k-1) G(k+1)
     + k(k+1) alpha beta X^(-k) G(k)], with G(s) = Gamma(s, z X).
+
+    Only the weights, the coefficients and the prefactor involve both
+    variables.  ``_root_pair`` computes the rest for one variable (six of
+    the twelve incomplete gammas) and ``_assemble`` combines the two pairs.
     """
-    _check_regular(params)
-    z = params.a_pi()
-    k, alpha, beta = params.k, params.alpha, params.beta
-    sa = csqrt(1.0 - alpha * alpha)
-    sb = csqrt(1.0 - beta * beta)
-    roots = ((alpha - 1j * sa, sb), (alpha + 1j * sa, -sb),
-             (beta - 1j * sb, -sa), (beta + 1j * sb, sa))
-    bracket = 0j
-    for x, weight in roots:
-        zx = z * x
-        bracket += weight * cexp(zx) * (
-            cpow(x, -k - 2) * upper_gamma(k + 2, zx)
-            - (k + 1) * (alpha + beta) * cpow(x, -k - 1) * upper_gamma(k + 1, zx)
-            + k * (k + 1) * alpha * beta * cpow(x, -k) * upper_gamma(k, zx))
-    pref = 1.0 / (4j * k * (k + 1) * cpow(z, k) * sa * (alpha - beta) * sb)
-    return pref * bracket
+    return _assemble(params, _root_pair)
 
 
 def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:

@@ -15,10 +15,15 @@ comment; blank lines ignored; list values are comma separated)::
     format      = csv           # csv | json
 
 Rows are emitted in deterministic lexicographic order over (a, k,
-alpha, beta) with each axis in its declared value order.  Grid points
-are independent pure evaluations, so they could run concurrently; this
-implementation evaluates sequentially and writes buffered rows once,
-which already makes the output deterministic.  Points that land on a
+alpha, beta) with each axis in its declared value order.  The points of
+one (a, k) block share their root pairs: each alpha or beta value's six
+incomplete gammas (see ``closedform._root_pair``) are computed the first
+time a regular point of the block needs them and reused by the rest of
+the block, so kernel work per block grows with n_alpha + n_beta, not
+n_alpha * n_beta.  Blocks are independent pure evaluations, so a
+concurrent sweep would split the grid by block; this implementation
+evaluates sequentially and writes buffered rows once, which already
+makes the output deterministic.  Points that land on a
 singular parameter set are reported as ``skipped-with-warning`` rows
 rather than aborting the sweep.  CSV numbers carry 17 significant
 digits so a parsed-back grid is bit-identical.
@@ -30,11 +35,13 @@ import csv
 import json
 import math
 import re
+import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
-from ._flags import collect
-from .closedform import closed_form
+from ._flags import collect, flag
+from .closedform import _assemble, _root_pair
 from .errors import ConfigError, KernelDomainError, SingularParameterError
 from .series import SeriesParams, TruncationPolicy, series_sum
 
@@ -179,7 +186,38 @@ def _g17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _evaluate_point(a, k, alpha, beta, config):
+# Errors that turn a grid point into a skipped-with-warning row.
+_SKIPPED = (SingularParameterError, KernelDomainError, ConfigError)
+
+
+def _block_pair(pairs: dict, z: complex, k: complex, x: complex) -> tuple:
+    """x's root pair, computed on first use within one (a, k) block.
+
+    The flags the pair raised, and a skip error it raised, are kept with
+    it and raised again at every later point that uses it, so each row
+    sees exactly what a point-by-point evaluation would.  Keys are the
+    exact bits of x: 0.0 == -0.0, but the roots built from them can carry
+    zeros of different sign into the kernels.
+    """
+    key = struct.pack("<2d", x.real, x.imag)
+    if key in pairs:
+        pair, error, raised = pairs[key]
+        for name in raised:
+            flag(name)
+    else:
+        pair = error = None
+        with collect() as raised:
+            try:
+                pair = _root_pair(z, k, x)
+            except _SKIPPED as exc:
+                error = exc
+        pairs[key] = pair, error, raised
+    if error is not None:
+        raise error
+    return pair
+
+
+def _evaluate_point(a, k, alpha, beta, config, root_pair):
     """One grid point -> dict keyed by SWEEP_COLUMNS (floats or None)."""
     row = {
         "a_re": a.real, "a_im": a.imag, "k_re": k.real, "k_im": k.imag,
@@ -189,11 +227,11 @@ def _evaluate_point(a, k, alpha, beta, config):
         "closed_re": None, "closed_im": None, "rel_diff": None,
         "warnings": "",
     }
-    notes = []
     series_value = closed_value = None
-    try:
-        params = SeriesParams(a=a, k=k, alpha=alpha, beta=beta)
-        with collect() as seen:
+    skip = None
+    with collect() as seen:
+        try:
+            params = SeriesParams(a=a, k=k, alpha=alpha, beta=beta)
             if config.mode in ("series", "both"):
                 result = series_sum(params, config.policy)
                 series_value = result.value
@@ -201,12 +239,15 @@ def _evaluate_point(a, k, alpha, beta, config):
                 row["series_im"] = series_value.imag
                 row["series_err"] = result.error_estimate
             if config.mode in ("closed", "both"):
-                closed_value = closed_form(params)
+                closed_value = _assemble(params, root_pair)
                 row["closed_re"] = closed_value.real
                 row["closed_im"] = closed_value.imag
-        notes.extend(sorted(seen))
-    except (SingularParameterError, KernelDomainError, ConfigError) as exc:
-        notes.append(f"skipped-with-warning: {exc}")
+        except _SKIPPED as exc:
+            skip = f"skipped-with-warning: {exc}"
+    # Flags raised before a skip error stay on the row, ahead of its note.
+    notes = sorted(seen)
+    if skip is not None:
+        notes.append(skip)
         return row, notes, True
     if series_value is not None and closed_value is not None:
         denom = max(abs(series_value), abs(closed_value), 1e-300)
@@ -225,9 +266,11 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     failures = 0
     for a in config.a:
         for k in config.k:
+            root_pair = partial(_block_pair, {})  # one memo per (a, k) block
             for alpha in config.alpha:
                 for beta in config.beta:
-                    row, notes, skipped = _evaluate_point(a, k, alpha, beta, config)
+                    row, notes, skipped = _evaluate_point(
+                        a, k, alpha, beta, config, root_pair)
                     row["warnings"] = "; ".join(notes)
                     failures += skipped
                     rows.append(row)

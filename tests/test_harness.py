@@ -3,21 +3,30 @@
 import csv
 import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from chebgamma import (
     ConfigError,
+    KernelDomainError,
+    SeriesParams,
+    SingularParameterError,
     SweepConfig,
     TruncationPolicy,
     case_ids,
+    closed_form,
     compare,
     harness,
     parse_sweep_config,
     run_all,
     run_case,
     run_sweep,
+    series_sum,
 )
+from chebgamma import closedform
+from chebgamma._flags import collect
 from chebgamma.cli import main
 from chebgamma.harness import DEFAULT_SEED, registered_cases, render_report_json, render_report_text
 from chebgamma.sweep import SWEEP_COLUMNS, parse_complex_literal
@@ -335,6 +344,128 @@ def test_sweep_json_format(tmp_path):
     assert row["series_re"] is not None
 
 
+def test_skipped_row_keeps_the_flags_of_the_route_that_ran(tmp_path):
+    # At k = 180 the series overflows and flags it; at alpha = beta the
+    # closed form is then refused.  The skipped row still carries the flag.
+    out = tmp_path / "grid.csv"
+    config = SweepConfig(
+        a=(100.0 / math.pi + 0j,), k=(180 + 0j,), alpha=(0.3 + 0j,),
+        beta=(0.3 + 0j, 0.5 + 0j), output_path=str(out),
+    )
+    assert run_sweep(config).failures == 1
+    with open(out, newline="") as fh:
+        skipped, regular = list(csv.DictReader(fh))
+    assert skipped["warnings"] == (
+        "overflow-saturation; skipped-with-warning: alpha and beta coincide "
+        "(removable singularity); use limit_eval")
+    assert regular["warnings"] == "overflow-saturation"
+
+
+def _count_kernel_calls(monkeypatch, config):
+    calls = []
+    kernel = closedform.upper_gamma
+
+    def counting(s, w):
+        calls.append((s, w))
+        return kernel(s, w)
+
+    monkeypatch.setattr(closedform, "upper_gamma", counting)
+    run_sweep(config)
+    return len(calls)
+
+
+def _closed_sweep(tmp_path, a, k, alpha, beta):
+    return SweepConfig(
+        a=tuple(complex(v) for v in a), k=tuple(complex(v) for v in k),
+        alpha=tuple(complex(v) for v in alpha), beta=tuple(complex(v) for v in beta),
+        mode="closed", output_path=str(tmp_path / "grid.csv"))
+
+
+def test_sweep_kernel_work_grows_with_the_axes_not_their_product(tmp_path, monkeypatch):
+    alpha, beta = (0.3, -0.6, 0.75), (0.5, -0.2, 0.1, -0.9)
+    one_block = _closed_sweep(tmp_path, (20.0 / math.pi,), (2.5,), alpha, beta)
+    # Six incomplete gammas per variable value: (3 + 4) * 6, not 3 * 4 * 12.
+    assert _count_kernel_calls(monkeypatch, one_block) == 42
+    # Pairs live for one (a, k) block: a second block pays again.
+    two_blocks = _closed_sweep(tmp_path, (20.0 / math.pi,), (2.5, 3.5), alpha, beta)
+    assert _count_kernel_calls(monkeypatch, two_blocks) == 84
+
+
+@pytest.mark.parametrize("alpha, beta, calls", [
+    ((1.0, 0.3), (0.5, -0.2), 18),   # alpha = 1 is singular at every point
+    ((0.5,), (0.5,), 0),             # alpha = beta: nothing is evaluated
+    ((0.5, 0.3), (0.5, -0.2), 18),   # 0.5 on both axes is one pair
+    ((0.0, -0.0), (0.5,), 18),       # 0.0 and -0.0 are two pairs
+])
+def test_sweep_computes_a_root_pair_only_for_regular_points(
+        tmp_path, monkeypatch, alpha, beta, calls):
+    config = _closed_sweep(tmp_path, (20.0 / math.pi,), (2.5,), alpha, beta)
+    assert _count_kernel_calls(monkeypatch, config) == calls
+
+
+def _same_float(x, y):
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _parity_grid():
+    rng = random.Random(20261018)
+    shared = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.4, 0.4))
+    a = (rng.uniform(2.0, 10.0) + 0j, complex(rng.uniform(2.0, 10.0), rng.uniform(-2.0, 2.0)),
+         300.0 / math.pi + 0j)
+    k = (rng.uniform(1.0, 4.0) + 0j, -2 + 0j, complex(rng.uniform(1.0, 3.0), rng.uniform(0.1, 1.0)))
+    # At alpha = 3e153 the root pair saturates e^(z X) and then raises
+    # KernelDomainError: a skipped row whose flags come from the pair.
+    alpha = (0.3 + 0j, complex(rng.uniform(1.2, 2.0)), shared, 0j, complex(-0.0, 0.0),
+             3e153 + 0j)
+    beta = (-1.5 + 0j, complex(rng.uniform(-0.9, 0.0)), shared, complex(-0.0, 0.0), 0.3 + 0j)
+    return a, k, alpha, beta
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_rows_match_point_by_point_evaluation(tmp_path, fmt):
+    # Complex a, non-integer, negative-integer and complex k; x inside and
+    # outside [-1, 1] and complex; +0.0 and -0.0; one value on both axes;
+    # alpha = beta points; and the saturating root at k = -2, beta = -1.5.
+    a, k, alpha, beta = _parity_grid()
+    out = tmp_path / f"grid.{fmt}"
+    policy = TruncationPolicy(mode="optimal", max_shell=64)
+    config = SweepConfig(a=a, k=k, alpha=alpha, beta=beta, policy=policy,
+                         output_path=str(out), format=fmt)
+    run_sweep(config)
+    if fmt == "csv":
+        with open(out, newline="") as fh:
+            rows = [{col: (r[col] if col == "warnings" else
+                           None if r[col] == "" else float(r[col]))
+                     for col in SWEEP_COLUMNS} for r in csv.DictReader(fh)]
+    else:
+        rows = json.loads(out.read_text())["rows"]
+    points = [(va, vk, val, vb) for va in a for vk in k for val in alpha for vb in beta]
+    assert len(rows) == len(points)
+    seen_skip = seen_flag = seen_flagged_skip = 0
+    for row, (va, vk, val, vb) in zip(rows, points):
+        params = SeriesParams(a=va, k=vk, alpha=val, beta=vb)
+        closed = note = None
+        with collect() as seen:
+            try:
+                series_sum(params, policy)
+                closed = closed_form(params)
+            except (SingularParameterError, KernelDomainError, ConfigError) as exc:
+                note = f"skipped-with-warning: {exc}"
+        expected = sorted(seen) + ([note] if note else [])
+        assert row["warnings"] == "; ".join(expected)
+        if closed is None:
+            assert row["closed_re"] is None and row["closed_im"] is None
+        else:
+            assert _same_float(row["closed_re"], closed.real)
+            assert _same_float(row["closed_im"], closed.imag)
+        seen_skip += note is not None
+        seen_flag += "overflow-saturation" in row["warnings"]
+        seen_flagged_skip += note is not None and bool(seen)
+    assert seen_skip and seen_flag and seen_flagged_skip
+
+
 # ------------------------------------------------------------------- CLI
 
 def test_cli_eval_closed(capsys):
@@ -421,6 +552,18 @@ def test_cli_sweep_end_to_end(capsys, tmp_path):
     assert out_csv.exists()
     with open(out_csv, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 8
+
+
+def test_cli_demo_sweep_matches_the_readme(capsys, tmp_path, monkeypatch):
+    # The demo grid puts 0.5 on both axes, so its alpha = beta points are
+    # skipped and the 0.5 root pair is shared by the other points.
+    config = Path(__file__).resolve().parents[1] / "scripts" / "demo_grid.cfg"
+    monkeypatch.chdir(tmp_path)
+    rc = main(["sweep", "--config", str(config)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "points = 24\nfailures = 6\n" in out
+    assert (tmp_path / "demo_grid_out.csv").exists()
 
 
 def test_cli_missing_config_exits_2(capsys):
