@@ -8,6 +8,7 @@ scope.  Scopes nest and are context-local, so threaded use stays isolated.
 
 from __future__ import annotations
 
+import cmath
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -22,6 +23,13 @@ def flag(name: str) -> None:
     """Record *name* in every currently open collect() scope."""
     for sink in _scopes.get():
         sink.add(name)
+
+
+def checked(value: complex) -> complex:
+    """Return *value*, flagging overflow-saturation when it is not finite."""
+    if not cmath.isfinite(value):
+        flag(OVERFLOW_SATURATION)
+    return value
 
 
 @contextmanager

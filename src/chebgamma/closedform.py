@@ -33,7 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._flags import BRANCH_SENSITIVE, flag
+from ._flags import BRANCH_SENSITIVE, checked, flag
 from .complexfn import (
     cexp,
     cpow,
@@ -44,7 +44,7 @@ from .complexfn import (
     upper_gamma,
 )
 from .errors import ConfigError, NonConvergenceError, PoleError, SingularParameterError
-from .series import SeriesParams
+from .series import SeriesParams, _scalar
 
 __all__ = [
     "TWELVE_TERMS",
@@ -161,9 +161,9 @@ def contour_term(spec: ContourTermSpec, params: SeriesParams) -> complex:
     rsgn = 1.0 if spec.root_sign == "+" else -1.0
     sign = side * rsgn * (-1.0 if spec.order_shift == 0 else 1.0)
     norm = cexp(log_gamma(k) - log_gamma(order)) * cpow(z, -k)
-    return (sign * 1j * pref / (4.0 * root * (alpha - beta))
-            * cexp(z * big_x) * cpow(big_x, -order)
-            * upper_gamma(order, z * big_x) * norm)
+    return checked(sign * 1j * pref / (4.0 * root * (alpha - beta))
+                   * cexp(z * big_x) * cpow(big_x, -order)
+                   * upper_gamma(order, z * big_x) * norm)
 
 
 def _root_pair(z: complex, k: complex, x: complex) -> tuple:
@@ -204,7 +204,7 @@ def _assemble(params: SeriesParams, root_pair) -> complex:
             - (k + 1) * (alpha + beta) * p1 * g1
             + k * (k + 1) * alpha * beta * p0 * g0)
     pref = 1.0 / (4j * k * (k + 1) * cpow(z, k) * sa * (alpha - beta) * sb)
-    return pref * bracket
+    return checked(pref * bracket)
 
 
 def closed_form(params: SeriesParams) -> complex:
@@ -230,8 +230,8 @@ def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
     goes with e^(+i k theta_beta) and vice versa), and the order shifts
     appear as e^(+-i theta) factors folded into the exponential.
     """
-    a, k = complex(a), complex(k)
-    ta, tb = complex(theta_alpha), complex(theta_beta)
+    a, k = _scalar(a, "a"), _scalar(k, "k")
+    ta, tb = _scalar(theta_alpha, "theta_alpha"), _scalar(theta_beta, "theta_beta")
     ca, cb = cmath.cos(ta), cmath.cos(tb)
     sina, sinb = cmath.sin(ta), cmath.sin(tb)
     probe = SeriesParams(a=a, k=k, alpha=ca, beta=cb)
@@ -256,18 +256,24 @@ def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
             cexp(zx) * power * k * (1 + k) * lead * upper_gamma(k, zx)
             - cexp(zx + 1j * shift) * power * (1 + k) * (ca + cb) * csc * upper_gamma(1 + k, zx)
             + cexp(zx + 2j * shift) * power * csc * upper_gamma(2 + k, zx))
-    return bracket / (4.0 * k * 1j * (1 + k) * cpow(z, k) * (ca - cb))
+    return checked(bracket / (4.0 * k * 1j * (1 + k) * cpow(z, k) * (ca - cb)))
+
+
+def _reference_args(a, k) -> tuple:
+    """(a, k) as complex scalars for a reference formula; k = 0 and a = 0 refused."""
+    a, k = _scalar(a, "a"), _scalar(k, "k")
+    if k == 0:
+        raise PoleError("k = 0 is a pole (1/k term)")
+    if a * math.pi == 0:
+        raise SingularParameterError("a*pi must be nonzero")
+    return a, k
 
 
 def prop1_value(a, k) -> complex:
     """All-ones limit of the series: 1 + 1/k + e^z (1+k-z) E_{1-k}(z), z = a pi."""
-    a, k = complex(a), complex(k)
-    if k == 0:
-        raise PoleError("k = 0 is a pole (1/k term)")
+    a, k = _reference_args(a, k)
     z = a * math.pi
-    if z == 0:
-        raise SingularParameterError("a*pi must be nonzero")
-    return 1.0 + 1.0 / k + cexp(z) * (1.0 + k - z) * exp_integral_e(1.0 - k, z)
+    return checked(1.0 + 1.0 / k + cexp(z) * (1.0 + k - z) * exp_integral_e(1.0 - k, z))
 
 
 def golden_ratio_value(a, k) -> complex:
@@ -277,12 +283,8 @@ def golden_ratio_value(a, k) -> complex:
     (sqrt5 -+ 1)/2, so every exponential scale in the formula is a
     golden-ratio power.
     """
-    a, k = complex(a), complex(k)
-    if k == 0:
-        raise PoleError("k = 0 is a pole (1/k term)")
+    a, k = _reference_args(a, k)
     z = a * math.pi
-    if z == 0:
-        raise SingularParameterError("a*pi must be nonzero")
     r5 = math.sqrt(5.0)
     terms = (
         (4.0 + r5) * cexp((r5 - 2.0) * z) * exp_integral_e(1.0 - k, (r5 - 2.0) * z)
@@ -290,7 +292,7 @@ def golden_ratio_value(a, k) -> complex:
         + (1.0 + r5) * cexp(0.5 * (1.0 + r5) * z) * exp_integral_e(1.0 - k, 0.5 * (1.0 + r5) * z)
         + (r5 - 4.0) * cexp((2.0 + r5) * z) * exp_integral_e(1.0 - k, (2.0 + r5) * z)
     )
-    return 1.0 / k + terms / (4.0 * r5)
+    return checked(1.0 / k + terms / (4.0 * r5))
 
 
 def erfc_product_value() -> complex:
@@ -377,14 +379,10 @@ def diff_closed_form(c: int, a, k) -> complex:
     """Odd-shell difference identity at alpha = beta = c, for c in 1..5."""
     if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= 5:
         raise ConfigError(f"c must be an integer in 1..5, got {c!r}")
-    a, k = complex(a), complex(k)
-    if k == 0:
-        raise PoleError("k = 0 is a pole")
-    if a == 0:
-        raise SingularParameterError("a*pi must be nonzero")
+    a, k = _reference_args(a, k)
     if c in _DIFF_BRANCH_SENSITIVE:
         flag(BRANCH_SENSITIVE)
-    return _diff_c1(a, k) if c == 1 else _diff_c(c, a, k)
+    return checked(_diff_c1(a, k) if c == 1 else _diff_c(c, a, k))
 
 
 def _nudge_beta(p: SeriesParams, eps: float) -> SeriesParams:

@@ -22,8 +22,16 @@ for every order s:
   summed by the same loop with the n = m term left out
 * everywhere else   Legendre continued fraction (modified Lentz, budget
   10000, tolerance 1e-15 on successive convergents); left of the
-  imaginary axis it settles on wrong values where ``|z|`` is well below
-  ``|s|``, an open defect
+  imaginary axis, an open defect: below ``|z|/|s|`` of about 0.6 its
+  Lentz iteration loses digits, and below 0.5 it settles on wrong values
+
+Every regime ends with one scaling step, e^a e^b sum, a the exponent of
+the power of z and b = -z where e^-z is kept apart.  It multiplies the
+factors while they stay in the double range, else folds the sum into one
+exponent: a representable value comes back even where z^s or e^-z alone
+is not, and any other saturates to a flagged inf.  The continued fraction
+skips the fold in its defect region (Re z < 0, ``|z| < |s|``), so a wrong
+value there still overflows to a flagged nan.
 """
 
 from __future__ import annotations
@@ -215,8 +223,7 @@ def _lower_series_direct(s: complex, z: complex) -> complex:
         term *= z / (s + n)
         total += term
         if abs(term) <= 1e-17 * abs(total):
-            prefac = cpow(z, s) * cexp(-z)
-            return prefac * total
+            return _scaled(total, s * clog(z), -z)
     raise NonConvergenceError(f"lower-gamma series stalled at s={s}, z={z}")
 
 
@@ -233,9 +240,8 @@ def _kummer_sum(s: complex, z: complex, skip: int = -1):
     budget = _ITER_BUDGET + int(2 * abs(w)) + skip
     for n in range(1, budget):
         p *= w / n
-        if not (math.isfinite(p.real) and math.isfinite(p.imag)):
-            flag(OVERFLOW_SATURATION)
-            return cmath.rect(math.inf, cmath.phase(total)), at_skip
+        if not cmath.isfinite(p):
+            break
         if n == skip:
             at_skip = p
             continue
@@ -244,26 +250,30 @@ def _kummer_sum(s: complex, z: complex, skip: int = -1):
         try:
             done = n > abs(w) and n > skip and abs(term) <= 1e-17 * abs(total)
         except OverflowError:
-            # the sum is finite but its modulus outgrows a double: saturate
-            flag(OVERFLOW_SATURATION)
-            return cmath.rect(math.inf, cmath.phase(total)), at_skip
+            # the sum is finite but its modulus outgrows a double
+            break
         if done:
             return total, at_skip
-    raise NonConvergenceError(f"Kummer series stalled at s={s}, z={z}")
+    else:
+        raise NonConvergenceError(f"Kummer series stalled at s={s}, z={z}")
+    flag(OVERFLOW_SATURATION)
+    return cmath.rect(math.inf, cmath.phase(total)), at_skip
 
 
-def _power_times(z: complex, s: complex, total: complex) -> complex:
-    # z^s * total.  Past the exponent range z^s alone under- or overflows
-    # while the product need not, so the sum is folded into one exponent.
-    a = s * clog(z)
-    if abs(a.real) < _EXP_OVERFLOW and cmath.isfinite(total):
-        return cexp(a) * total
-    return cexp(a + clog(total))
+def _scaled(total: complex, a: complex, b: complex = 0j) -> complex:
+    # e^a e^b total, the step every regime ends with (module docstring).
+    # A split b = -z keeps exp of the exact -z correctly rounded, while the
+    # folded exponent carries an absolute rounding error of eps |a + b|.
+    if abs(a.real) < _EXP_OVERFLOW and abs(b.real) < _EXP_OVERFLOW:
+        g = (cmath.exp(a) * cmath.exp(b) if b else cmath.exp(a)) * total
+        if cmath.isfinite(g):
+            return g
+    return cexp(a + b + clog(total))
 
 
 def _lower_series_reflected(s: complex, z: complex) -> complex:
     # gamma(s,z) = z^s sum_n (-z)^n / (n! (s+n)), Kummer's series.
-    return _power_times(z, s, _kummer_sum(s, z)[0])
+    return _scaled(_kummer_sum(s, z)[0], s * clog(z))
 
 
 def _upper_series_nonpos_int(m: int, z: complex) -> complex:
@@ -273,7 +283,7 @@ def _upper_series_nonpos_int(m: int, z: complex) -> complex:
     s = complex(-m)
     total, p = _kummer_sum(s, z, m)
     psi = math.fsum(1.0 / j for j in range(1, m + 1)) - _EULER_GAMMA
-    return _power_times(z, s, p * (psi - clog(z)) - total)
+    return _scaled(p * (psi - clog(z)) - total, s * clog(z))
 
 
 def _lower_gamma_series(s: complex, z: complex) -> complex:
@@ -296,17 +306,7 @@ def _upper_asymptotic(s: complex, z: complex):
             return None
         total += term
         if size <= 1e-17 * abs(total):
-            # Split prefactor while each factor and the value stay in
-            # range: exp(-z) of the exact z is correctly rounded, while the
-            # combined exponent carries an absolute rounding error of
-            # eps |z|.  Past that range one exponent, with the sum folded
-            # in, saturates to inf instead of nan.
-            a = (s - 1.0) * clog(z)
-            if abs(a.real) < _EXP_OVERFLOW and -z.real < _EXP_OVERFLOW:
-                g = cexp(a) * cexp(-z) * total
-                if cmath.isfinite(g):
-                    return g
-            return cexp(a - z + clog(total))
+            return _scaled(total, (s - 1.0) * clog(z), -z)
     return None
 
 
@@ -332,7 +332,9 @@ def _upper_cf(s: complex, z: complex) -> complex:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_TOL:
-            return cexp(s * clog(z) - z) * h
+            # no fold where h can be wrong (module docstring)
+            a = s * clog(z) - z
+            return cexp(a) * h if z.real < 0.0 and abs(z) < abs(s) else _scaled(h, a)
     raise NonConvergenceError(
         f"continued fraction for upper gamma did not converge at s={s}, z={z}"
     )
@@ -356,9 +358,8 @@ def upper_gamma(s, z) -> complex:
     # all the way down, so the series pocket shrinks with Re(s) < 0.  Left
     # half-plane z inside the pocket still goes to the continued fraction
     # once past the reflection budget: the reflected series cancels like
-    # e^(|z| + Re z) there.  The fraction keeps full accuracy there except
-    # where |z| < |s|: below |z|/|s| of about 0.6 its Lentz iteration loses
-    # digits, and below 0.5 it settles on a wrong value (an open defect).
+    # e^(|z| + Re z) there.  The fraction is sharp there except where
+    # |z| < |s| (module docstring).
     # One decision serves every s; only the series pocket splits off the
     # non-positive integers, where Gamma(s) has a pole.
     series_radius = 1.5 * (1.0 + abs(s)) if s.real >= 0.0 else 1.5

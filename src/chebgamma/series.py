@@ -131,10 +131,9 @@ def series_terminates(k):
     return _nearest_nonpos_int(-_scalar(k, "k"))
 
 
-def _finish(acc: complex, shells_used: int, saturated: bool, termination: str,
+def _finish(acc: complex, shells_used: int, termination: str,
             error_estimate: float, warnings: set) -> SeriesResult:
-    if saturated or not cmath.isfinite(acc):
-        warnings.add(OVERFLOW_SATURATION)
+    # the loop's per-shell check has already flagged a non-finite sum
     for name in warnings:
         flag(name)
     return SeriesResult(
@@ -191,10 +190,17 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
     acc = 0.0 + 0.0j
     abs_acc = 0.0
     used = 0
-    saturated = False
     prev_env = math.inf
 
-    while q <= last and recip != 0.0:
+    def exhausted(q: int) -> bool:
+        # past the bound the weight is 0 (nan once it has overflowed), and
+        # the shells from q up to the bound may all be identically zero
+        return bound is not None and not any(multiplier(j) for j in range(q, bound + 1))
+
+    # Past the budget (last <= bound), step on to the next contributing
+    # shell, whose envelope the error reports (the difference series skips
+    # even shells), unless none is left or the sum has overflowed.
+    while q <= last or not (multiplier(q) or exhausted(q) or OVERFLOW_SATURATION in warnings):
         c = next(shells)
         m = multiplier(q)
         if m:
@@ -204,21 +210,21 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
                     shell_env = abs(m) * env
                     if shell_env <= rel_tol * abs(acc) and used > 0:
                         err = abs(t) + _ROUNDOFF_FACTOR * _EPS * abs_acc
-                        return _finish(acc, used, saturated, "tolerance-met", err, warnings)
+                        return _finish(acc, used, "tolerance-met", err, warnings)
                     if not fixed and shell_env > prev_env:
                         # envelope upturn: shell q is the first of the
                         # divergent tail, leave it out and report its scale
                         if q < 3:
                             warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
                         err = max(shell_env, abs(t)) + _ROUNDOFF_FACTOR * _EPS * abs_acc
-                        return _finish(acc, used, saturated, "optimal-truncation", err, warnings)
+                        return _finish(acc, used, "optimal-truncation", err, warnings)
                     prev_env = shell_env
                 acc += t
                 used += 1
                 abs_acc += abs(t)
             except OverflowError:
                 # a finite shell or sum whose modulus outgrows a double
-                saturated = True
+                warnings.add(OVERFLOW_SATURATION)
                 abs_acc = math.inf
                 if not exact:
                     break
@@ -231,28 +237,14 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
         q += 1
         if not (cmath.isfinite(acc) and cmath.isfinite(zpow) and math.isfinite(env)
                 and cmath.isfinite(recip)):
-            saturated = True
+            warnings.add(OVERFLOW_SATURATION)
             if not exact:
                 break
-    # past the bound the weight is 0, or nan once it has overflowed; the
-    # shells left out up to the bound may all be identically zero
-    if recip == 0.0 or (bound is not None
-                        and not any(multiplier(j) for j in range(q, bound + 1))):
-        return _finish(acc, used, saturated, "terminated-exactly", 0.0, warnings)
-    # For error reporting: stand on the next shell that is actually
-    # nonzero (difference series skips even shells identically).  The step
-    # is the loop's own, minus the sum's check: the sum no longer changes.
-    while not multiplier(q) and q <= policy.max_shell + 2 and not saturated:
-        kq = k - q
-        recip = recip * kq
-        zpow = zpow * inv_z
-        env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
-        q += 1
-        if not (cmath.isfinite(zpow) and math.isfinite(env) and cmath.isfinite(recip)):
-            saturated = True
+    if exhausted(q):
+        return _finish(acc, used, "terminated-exactly", 0.0, warnings)
     m = abs(multiplier(q))
     err = (m * env if m else 0.0) + _ROUNDOFF_FACTOR * _EPS * abs_acc
-    return _finish(acc, used, saturated, "budget-exhausted", err, warnings)
+    return _finish(acc, used, "budget-exhausted", err, warnings)
 
 
 def _unit_multiplier(q: int) -> float:

@@ -10,6 +10,7 @@ cross-check rather than an echo.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,7 +35,7 @@ from chebgamma import (
     series_sum,
 )
 from chebgamma._flags import collect
-from oracles import double_sum_direct, finite_series_exact
+from oracles import double_sum_direct, finite_series_exact, shell_values_exact
 
 E4 = math.exp(4.0)
 
@@ -348,6 +349,65 @@ def test_difference_closed_form_validation():
         diff_closed_form(2, 3.0, 0.0)
     with pytest.raises(SingularParameterError):
         diff_closed_form(2, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("call", (
+    lambda: prop1_value("x", 2.0),
+    lambda: prop1_value(float("nan"), 2.0),
+    lambda: golden_ratio_value(1.0, float("nan")),
+    lambda: diff_closed_form(2, float("nan"), 2.0),
+    lambda: diff_closed_form(2, 3.0, None),
+    lambda: closed_form_cos(None, 1.0, 1.0, 2.0),
+    lambda: closed_form_cos(1.0, 1.0, float("inf"), 2.0),
+), ids=("prop1-str-a", "prop1-nan-a", "golden-nan-k", "diff-nan-a", "diff-none-k",
+        "cos-none-a", "cos-inf-theta"))
+def test_reference_formulas_name_a_bad_argument(call):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value).split()[0] in ("a", "k", "theta_alpha")
+
+
+# Points where each evaluation overflows to a non-finite value (found by a
+# seeded probe over k = 2..200 and a*pi = 1..1000).
+@pytest.mark.parametrize("call", (
+    lambda: closed_form(params(0.824005691760834, -0.21350265609041497, 167, 42.15523701676079)),
+    lambda: closed_form(params(0.3895805336344542, 0.8900179623554934, 119, 117.85647518012253 * math.pi)),
+    lambda: contour_term(TWELVE_TERMS[1], params(0.5254879084186188, -0.017281632669647773,
+                                                 142, 107.165582208737 * math.pi)),
+    lambda: closed_form_cos(117.85647518012253, 119, 1.1706202283977707, 0.47341176121650774),
+    lambda: prop1_value(224.21593894556472, 141),
+    lambda: golden_ratio_value(1.299498101739285 / math.pi, 164),
+    lambda: diff_closed_form(3, 0.5559313005178816, 162.0263511139717),
+), ids=("closed_form-k167", "closed_form-k119", "contour_term", "closed_form_cos",
+        "prop1_value", "golden_ratio_value", "diff_closed_form"))
+def test_non_finite_closed_forms_are_flagged(call):
+    with collect() as flags:
+        value = call()
+    assert not cmath.isfinite(value)
+    assert "overflow-saturation" in flags
+
+
+def test_closed_form_on_a_wrong_continued_fraction_value_is_flagged_or_right():
+    # The six beta-side gammas of this point sit left of the imaginary axis
+    # at |w|/s of about 0.27, where the continued fraction settles on a
+    # wrong value; their exponent is past the double range.  The closed
+    # form is either right (the exact rational sum of the terminating
+    # series is 3.06e19) or non-finite and flagged, never a wrong finite
+    # number (folding the fraction's value gives 1.03e-4).
+    alpha, beta = -0.13659550908205245, -0.78577828826091212
+    point = SeriesParams(a=14.847161726479616, k=173, alpha=alpha, beta=beta)
+    with collect() as flags:
+        value = closed_form(point)
+    if cmath.isfinite(value):
+        z = Fraction(point.a_pi().real)
+        shells, _ = shell_values_exact(173, alpha, beta)
+        exact, weight = shells[0] / 173 + shells[1] / z, Fraction(1)
+        for q in range(2, 174):
+            weight *= 174 - q          # (k - 1)(k - 2)...(k - q + 1)
+            exact += shells[q] * weight / z ** q
+        assert rel(value, float(exact)) < 1e-8
+    else:
+        assert "overflow-saturation" in flags
 
 
 # ------------------------------------------------------------------ limits

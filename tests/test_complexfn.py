@@ -304,6 +304,18 @@ def test_reflected_series_saturates_when_its_sum_outgrows_a_double():
     assert "overflow-saturation" in flags
 
 
+def test_continued_fraction_does_not_fold_a_wrong_value_into_range():
+    # Left of the imaginary axis at |w| well below |s| the continued
+    # fraction settles on a wrong value (module docstring of complexfn).
+    # Gamma(212, -0.35 + 28.7i) is about 2.2e400, past the double range,
+    # and the fraction's value there must end in a flagged non-finite
+    # value, not come back finite (folded, it reads -5.3e306 + 5.8e306i).
+    with collect() as flags:
+        v = upper_gamma(212, -0.35169 + 28.698j)
+    assert not cmath.isfinite(v)
+    assert "overflow-saturation" in flags
+
+
 # ------------------------------------------------------------- pochhammer
 
 def test_pochhammer_recip_examples():

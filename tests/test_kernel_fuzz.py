@@ -15,7 +15,13 @@ forms need it most:
 * Re s in [-400, -20] next to the cut, below the asymptotic threshold,
   where w^s alone underflows while Gamma(s, w) is a normal double;
 * E_n(w) = w^(n-1) Gamma(1-n, w) for n = 1..7, at any angle and next to
-  the cut.
+  the cut;
+* Re s in [100, 300] in the series pocket (Re w >= 0), where w^s alone
+  leaves the double range while Gamma(s, w) need not.
+
+The last check holds the one scaling step e^a e^b sum of every regime to
+the rounding of its folded exponent where it switches from the split form
+to the folded one.
 """
 
 import cmath
@@ -150,3 +156,46 @@ def test_exp_integral_e_matches_mpmath():
             return complex(mpmath.expint(n, mpmath.mpc(w)))
 
     assert assert_matches(pairs, exp_integral_e, ref) >= 35
+
+
+def pocket_draws(seed, count, lo, hi):
+    """Re s in [100, 300], real or complex; Re w >= 0 with |w|/|s| in [lo, hi].
+
+    |w| stays below the pocket radius 1.5 (1 + |s|).
+    """
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        s = complex(rng.uniform(100.0, 300.0), 0.0 if i % 2 else rng.uniform(-60.0, 60.0))
+        radius = min(rng.uniform(lo, hi) * abs(s), 1.5 * (1.0 + abs(s)))
+        pairs.append((s, cmath.rect(radius, rng.uniform(-math.pi / 2, math.pi / 2))))
+    return pairs
+
+
+def test_large_orders_in_the_series_pocket_match_mpmath():
+    pairs = [(150.0 + 0j, 150.0 + 0j)] + pocket_draws(5, 80, 0.0, 1.2)
+    assert assert_matches(pairs, upper_gamma, reference) >= 20
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "past |w| of about 1.3|s| the series pocket, which reaches 1.5(1 + |s|), "
+    "loses up to six digits; the continued fraction holds 2e-13 there"))
+def test_large_orders_at_the_edge_of_the_series_pocket_match_mpmath():
+    assert_matches(pocket_draws(6, 40, 1.3, 1.5), upper_gamma, reference)
+
+
+def test_split_and_folded_scaling_agree_at_the_switch():
+    rng = random.Random(12)
+    lo, hi = 709.0 * (1.0 - 1e-9), 709.0 * (1.0 + 1e-9)
+    for _ in range(200):
+        total = cmath.rect(log_uniform(rng, 1e-3, 1.0), rng.uniform(-math.pi, math.pi))
+        # a sits just inside or just outside the range, and b pulls the
+        # value back to a normal double
+        sign = rng.choice((1.0, -1.0))
+        a_im, b = rng.uniform(-50.0, 50.0), complex(-sign * rng.uniform(30.0, 60.0),
+                                                    rng.uniform(-50.0, 50.0))
+        folded = complexfn._scaled(total, complex(sign * hi, a_im), b)
+        split = complexfn._scaled(total, complex(sign * lo, a_im), b + sign * (hi - lo))
+        # the folded exponent, 640..680 in size, is rounded twice, each time
+        # by up to half an ulp (5.7e-14)
+        assert rel(split, folded) <= 1.2e-13, (total, sign, a_im, b, split, folded)

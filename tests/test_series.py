@@ -22,6 +22,7 @@ from chebgamma import (
     shell_coeff,
     shell_values,
 )
+from chebgamma._flags import collect
 from chebgamma.chebyshev import _DIRECT_SHELLS
 from oracles import double_sum_direct, finite_series_exact
 
@@ -306,3 +307,17 @@ def test_budget_that_only_leaves_out_zero_shells_terminates_exactly():
     full = difference_series(point, TruncationPolicy(max_shell=6))
     assert full.termination == "terminated-exactly"
     assert short == full
+
+
+def test_budget_short_of_the_bound_takes_no_step_past_it():
+    # k = 6: the odd-shell difference series ends at q = 5 and max_shell = 5
+    # leaves out only the zero shell q = 6.  At a*pi = 10^(-308.25/6.5),
+    # z^-q first overflows at q = 7, so the sum is finite and exact, and no
+    # step may reach q = 7 and flag saturation.
+    point = params(0.3, 0.4, 6.0, 10.0 ** (-308.25 / 6.5))
+    with collect() as flags:
+        res = difference_series(point, TruncationPolicy(max_shell=5))
+    assert res.termination == "terminated-exactly"
+    assert math.isfinite(res.value.real) and res.error_estimate == 0.0
+    assert "overflow-saturation" not in res.warnings
+    assert "overflow-saturation" not in flags
