@@ -17,8 +17,12 @@ import argparse
 import hashlib
 import os
 import sys
+from pathlib import Path
 
-from chebgamma.harness import DEFAULT_SEED, render_report_json, render_report_text, run_all
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from chebgamma.harness import (  # noqa: E402
+    DEFAULT_SEED, render_report_json, render_report_text, run_all)
 
 
 def main(argv=None) -> int:

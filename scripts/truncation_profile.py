@@ -16,8 +16,12 @@ Usage:
 
 import argparse
 import math
+import sys
+from pathlib import Path
 
-from chebgamma import SeriesParams, TruncationPolicy, closed_form, series_sum
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from chebgamma import SeriesParams, TruncationPolicy, closed_form, series_sum  # noqa: E402
 
 
 def main(argv=None) -> int:

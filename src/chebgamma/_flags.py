@@ -3,13 +3,14 @@
 Kernels never raise on exponent over/underflow; they saturate and record a
 flag.  Callers that want to see flags (series engine, harness, sweep rows)
 open a ``collect()`` scope; flags raised anywhere below land in every open
-scope.  Scopes nest and are context-local, so threaded use stays isolated.
+scope.  Scopes nest and are context-local (one ContextVar holds the tuple
+of open sinks), so a flag raised in another thread or in a copied context
+stays there, and a scope closes even when its block raises.
 """
 
 from __future__ import annotations
 
 import cmath
-from contextlib import contextmanager
 from contextvars import ContextVar
 
 OVERFLOW_SATURATION = "overflow-saturation"
@@ -32,12 +33,21 @@ def checked(value: complex) -> complex:
     return value
 
 
-@contextmanager
-def collect():
-    """Open a scope; yields the set that accumulates flags raised inside."""
-    sink: set = set()
-    token = _scopes.set(_scopes.get() + (sink,))
-    try:
-        yield sink
-    finally:
-        _scopes.reset(token)
+class collect:
+    """A flag scope: ``with collect() as seen`` gathers in the set ``seen``
+    every flag raised inside, until the block exits, normally or not.
+
+    A slotted class, not a generator context manager: sweeps and the
+    harness open one scope per point, so entering and leaving are kept to
+    one ContextVar set and reset each.
+    """
+
+    __slots__ = ("_token",)
+
+    def __enter__(self) -> set:
+        sink: set = set()
+        self._token = _scopes.set(_scopes.get() + (sink,))
+        return sink
+
+    def __exit__(self, *exc_info) -> None:
+        _scopes.reset(self._token)

@@ -12,6 +12,7 @@ need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -30,17 +31,12 @@ def _as_index(n, name: str) -> int:
 def cheb_t(n: int, x) -> complex:
     """T_n(x) by the three-term recurrence T_{n+1} = 2x T_n - T_{n-1}."""
     n = _as_index(n, "n")
-    return _grow_row([1.0 + 0.0j], complex(x), n)[n]
-
-
-def _grow_row(row: list, x: complex, n_max: int) -> list:
-    """Extend ``row = [T_0(x), ..., T_m(x)]`` in place through T_{n_max}(x).
-
-    ``row`` must hold at least T_0 = 1; it is returned for chaining.
-    """
-    while len(row) <= n_max:
-        row.append(2.0 * x * row[-1] - row[-2] if len(row) > 1 else x)
-    return row
+    x = complex(x)
+    two_x = 2.0 * x
+    t0, t1 = 1.0 + 0.0j, x
+    for _ in range(n):
+        t0, t1 = t1, two_x * t1 - t0
+    return t0
 
 
 @dataclass(frozen=True)
@@ -57,51 +53,58 @@ class ShellCoefficient:
 _DIRECT_SHELLS = 16
 
 
-def _shell_value(q: int, ta: list, tb: list) -> complex:
-    # Pairs (n, q-n) and (q-n, n) are summed together so that swapping
-    # alpha and beta permutes commutative operations only: the result is
-    # bit-identical under the swap.
-    total = 0.0 + 0.0j
-    for n in range(q // 2 if q % 2 == 0 else (q + 1) // 2):
-        total += ta[n] * tb[q - n] + ta[q - n] * tb[n]
-    if q % 2 == 0:
-        total += ta[q // 2] * tb[q // 2]
-    return total
+def _drive_key(x: complex) -> tuple:
+    # Orders the two arguments by growth radius, ties by (Re, Im) and then
+    # the signs of zero, so the pair picks the same driver in either order.
+    return (growth_radius(x), x.real, x.imag,
+            math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
 
 
 def _shell_stream(alpha: complex, beta: complex):
     """Yield C_0, C_1, C_2, ... at (alpha, beta), without end.
 
+    The first shells are the convolution itself, on T rows grown by one
+    element per shell.  Pairs (n, q-n) and (q-n, n) are summed together,
+    so swapping alpha and beta permutes commutative operations only.
+
     The shells' generating function is the product of the two Chebyshev
-    ones, so (1 - 2 beta t + t^2) sum_q C_q t^q = (1 - beta t) sum_n
-    T_n(alpha) t^n, and C obeys
+    ones, so (1 - 2 h t + t^2) sum_q C_q t^q = (1 - h t) sum_n T_n(d) t^n
+    for {d, h} = {alpha, beta}, and C obeys the two-term recurrence
 
-        u_{q+1} = 2 beta u_q - u_{q-1} + T_{q+1}(alpha) - beta T_q(alpha),
+        C_{q+1} = 2 h C_q - C_{q-1} + T_{q+1}(d) - h T_q(d).
 
-    as well as v, the same with alpha and beta exchanged.  Past the direct
-    start both run from its last two shells and the stream yields
-    (u + v) / 2: swapping alpha and beta exchanges u and v, so C_q stays
-    bit-identical under the swap.  Unlike the four-term recurrence on C
-    alone, neither loses accuracy where the roots of the two factors
-    nearly coincide.
+    Past the direct start it runs from the convolution's last two shells,
+    with the argument of larger growth radius as the driver d (ties by
+    ``_drive_key``): the homogeneous part then grows no faster than C
+    itself, and swapping alpha and beta runs the same arithmetic, so C_q
+    stays bit-identical under the swap.  Unlike the four-term recurrence
+    on C alone, it does not lose accuracy where the roots of the two
+    factors nearly coincide.
     """
-    ta, tb = [1.0 + 0.0j], [1.0 + 0.0j]
+    ta, tb = [1.0 + 0.0j, alpha], [1.0 + 0.0j, beta]
+    two_a, two_b = 2.0 * alpha, 2.0 * beta
     c0 = c1 = 0.0 + 0.0j
     for q in range(_DIRECT_SHELLS):
-        c0, c1 = c1, _shell_value(q, _grow_row(ta, alpha, q), _grow_row(tb, beta, q))
-        yield c1
-    u0 = v0 = c0
-    u1 = v1 = c1
-    # T_{q-1} and T_q of each argument, for the next shell q
-    a0, a1 = _grow_row(ta, alpha, _DIRECT_SHELLS)[-2:]
-    b0, b1 = _grow_row(tb, beta, _DIRECT_SHELLS)[-2:]
-    two_a, two_b = 2.0 * alpha, 2.0 * beta
+        if q > 1:
+            ta.append(two_a * ta[-1] - ta[-2])
+            tb.append(two_b * tb[-1] - tb[-2])
+        total = 0.0 + 0.0j
+        for n in range((q + 1) // 2):
+            total += ta[n] * tb[q - n] + ta[q - n] * tb[n]
+        if q % 2 == 0:
+            total += ta[q // 2] * tb[q // 2]
+        c0, c1 = c1, total
+        yield total
+    row, two_d, h, two_h = ta, two_a, beta, two_b
+    if _drive_key(beta) > _drive_key(alpha):
+        row, two_d, h, two_h = tb, two_b, alpha, two_a
+    # T_{q-1} and T_q of the driver, for the next shell q
+    t0 = row[-1]
+    t1 = two_d * t0 - row[-2]
     while True:
-        u0, u1 = u1, two_b * u1 - u0 + a1 - beta * a0
-        v0, v1 = v1, two_a * v1 - v0 + b1 - alpha * b0
-        yield 0.5 * (u1 + v1)
-        a0, a1 = a1, two_a * a1 - a0
-        b0, b1 = b1, two_b * b1 - b0
+        c0, c1 = c1, two_h * c1 - c0 + t1 - h * t0
+        yield c1
+        t0, t1 = t1, two_d * t1 - t0
 
 
 def shell_coeff(q: int, alpha, beta) -> ShellCoefficient:

@@ -196,13 +196,13 @@ def _assemble(params: SeriesParams, root_pair) -> complex:
     k, alpha, beta = params.k, params.alpha, params.beta
     sa, alpha_roots = root_pair(z, k, alpha)
     sb, beta_roots = root_pair(z, k, beta)
+    # the coefficients, multiplied left to right as the printed bracket reads
+    c1 = (k + 1) * (alpha + beta)
+    c0 = k * (k + 1) * alpha * beta
     bracket = 0j
     for weight, (e, p2, g2, p1, g1, p0, g0) in zip(
             (sb, -sb, -sa, sa), alpha_roots + beta_roots):
-        bracket += weight * e * (
-            p2 * g2
-            - (k + 1) * (alpha + beta) * p1 * g1
-            + k * (k + 1) * alpha * beta * p0 * g0)
+        bracket += weight * e * (p2 * g2 - c1 * p1 * g1 + c0 * p0 * g0)
     pref = 1.0 / (4j * k * (k + 1) * cpow(z, k) * sa * (alpha - beta) * sb)
     return checked(pref * bracket)
 

@@ -234,10 +234,11 @@ def _kummer_sum(s: complex, z: complex, skip: int = -1):
     # represent.  The stop waits for the skipped index, whose power the
     # integer-order caller needs.
     w = -z
+    abs_w = abs(w)
     p = 1.0 + 0.0j
     at_skip = p
     total = 0.0j if skip == 0 else 1.0 / s
-    budget = _ITER_BUDGET + int(2 * abs(w)) + skip
+    budget = _ITER_BUDGET + int(2 * abs_w) + skip
     for n in range(1, budget):
         p *= w / n
         if not cmath.isfinite(p):
@@ -248,7 +249,7 @@ def _kummer_sum(s: complex, z: complex, skip: int = -1):
         term = p / (s + n)
         total += term
         try:
-            done = n > abs(w) and n > skip and abs(term) <= 1e-17 * abs(total)
+            done = n > abs_w and n > skip and abs(term) <= 1e-17 * abs(total)
         except OverflowError:
             # the sum is finite but its modulus outgrows a double
             break

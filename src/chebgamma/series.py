@@ -15,9 +15,11 @@ the error), which is the reading under which large-|a pi| evaluations
 agree with the closed form to near machine precision.
 
 The loop reads C_q from the shell stream of the ``chebyshev`` module
-(a direct convolution for the first shells, then a two-term recurrence)
-and steps the weight and z^(-q) by one factor each, so every shell costs
-O(1) work and a sum through Q shells costs O(Q).
+(a direct convolution for the first 16 shells, then one two-term
+recurrence driven by the argument of larger growth radius, so that a
+swap of alpha and beta keeps every bit) and steps the weight and
+z^(-q) by one factor each, so every shell costs O(1) work and a sum
+through Q shells costs O(Q).
 
 The truncation modes are two policies under three names.
 ``exact-if-terminating`` and ``optimal`` are the same policy: a

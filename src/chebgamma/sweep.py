@@ -23,10 +23,14 @@ the block, so kernel work per block grows with n_alpha + n_beta, not
 n_alpha * n_beta.  Blocks are independent pure evaluations, so a
 concurrent sweep would split the grid by block; this implementation
 evaluates sequentially and writes buffered rows once, which already
-makes the output deterministic.  Points that land on a
-singular parameter set are reported as ``skipped-with-warning`` rows
-rather than aborting the sweep.  CSV numbers carry 17 significant
-digits so a parsed-back grid is bit-identical.
+makes the output deterministic.  Each point opens one flag scope and
+is buffered as one tuple in column order; JSON rows are keyed by
+column only when written.  Points
+that land on a singular parameter set are reported as
+``skipped-with-warning`` rows rather than aborting the sweep.  CSV
+numbers are written with ``"%.17g" %`` (the text of ``format(x,
+".17g")``), 17 significant digits, so a parsed-back grid is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -182,10 +186,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         policy=TruncationPolicy(**policy_kwargs), **present)
 
 
-def _g17(x: float) -> str:
-    return format(x, ".17g")
-
-
 # Errors that turn a grid point into a skipped-with-warning row.
 _SKIPPED = (SingularParameterError, KernelDomainError, ConfigError)
 
@@ -218,15 +218,13 @@ def _block_pair(pairs: dict, z: complex, k: complex, x: complex) -> tuple:
 
 
 def _evaluate_point(a, k, alpha, beta, config, root_pair):
-    """One grid point -> dict keyed by SWEEP_COLUMNS (floats or None)."""
-    row = {
-        "a_re": a.real, "a_im": a.imag, "k_re": k.real, "k_im": k.imag,
-        "alpha_re": alpha.real, "alpha_im": alpha.imag,
-        "beta_re": beta.real, "beta_im": beta.imag,
-        "series_re": None, "series_im": None, "series_err": None,
-        "closed_re": None, "closed_im": None, "rel_diff": None,
-        "warnings": "",
-    }
+    """One grid point -> (row, skipped).
+
+    The row is a tuple in SWEEP_COLUMNS order: a float or None for each
+    numeric column, then the warnings text.
+    """
+    series = closed = (None, None)
+    series_err = rel_diff = None
     series_value = closed_value = None
     skip = None
     with collect() as seen:
@@ -235,24 +233,23 @@ def _evaluate_point(a, k, alpha, beta, config, root_pair):
             if config.mode in ("series", "both"):
                 result = series_sum(params, config.policy)
                 series_value = result.value
-                row["series_re"] = series_value.real
-                row["series_im"] = series_value.imag
-                row["series_err"] = result.error_estimate
+                series = series_value.real, series_value.imag
+                series_err = result.error_estimate
             if config.mode in ("closed", "both"):
                 closed_value = _assemble(params, root_pair)
-                row["closed_re"] = closed_value.real
-                row["closed_im"] = closed_value.imag
+                closed = closed_value.real, closed_value.imag
         except _SKIPPED as exc:
             skip = f"skipped-with-warning: {exc}"
     # Flags raised before a skip error stay on the row, ahead of its note.
     notes = sorted(seen)
     if skip is not None:
         notes.append(skip)
-        return row, notes, True
-    if series_value is not None and closed_value is not None:
+    elif series_value is not None and closed_value is not None:
         denom = max(abs(series_value), abs(closed_value), 1e-300)
-        row["rel_diff"] = abs(series_value - closed_value) / denom
-    return row, notes, False
+        rel_diff = abs(series_value - closed_value) / denom
+    row = (a.real, a.imag, k.real, k.imag, alpha.real, alpha.imag, beta.real, beta.imag,
+           *series, series_err, *closed, rel_diff, "; ".join(notes))
+    return row, skip is not None
 
 
 def run_sweep(config: SweepConfig) -> SweepSummary:
@@ -269,9 +266,7 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
             root_pair = partial(_block_pair, {})  # one memo per (a, k) block
             for alpha in config.alpha:
                 for beta in config.beta:
-                    row, notes, skipped = _evaluate_point(
-                        a, k, alpha, beta, config, root_pair)
-                    row["warnings"] = "; ".join(notes)
+                    row, skipped = _evaluate_point(a, k, alpha, beta, config, root_pair)
                     failures += skipped
                     rows.append(row)
 
@@ -279,14 +274,14 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
         with open(config.output_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(SWEEP_COLUMNS)
-            for row in rows:
-                writer.writerow(
-                    [row[col] if col == "warnings"
-                     else ("" if row[col] is None else _g17(row[col]))
-                     for col in SWEEP_COLUMNS])
+            # "%.17g" % x is format(x, ".17g"): 17 digits round-trip a double
+            writer.writerows(
+                ["" if x is None else "%.17g" % x for x in row[:-1]] + [row[-1]]
+                for row in rows)
     else:
         with open(config.output_path, "w") as fh:
-            json.dump({"rows": rows}, fh, indent=2)
+            json.dump({"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]},
+                      fh, indent=2)
             fh.write("\n")
     return SweepSummary(points_evaluated=len(rows), failures=failures,
                         output_path=config.output_path)

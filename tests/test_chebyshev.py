@@ -170,6 +170,74 @@ def test_deep_shells_match_exact_oracle(draw):
             assert err <= 64 * sys.float_info.epsilon * scales[q], (alpha, beta, q)
 
 
+def _inside(rng):
+    return rng.uniform(-1.0, 1.0)
+
+
+def _outside(rng):
+    return rng.choice([-1, 1]) * rng.uniform(1.0, 2.2)
+
+
+def _pair_beside(rng, x):
+    return x, x + rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -3)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: (_inside(rng), _inside(rng)),
+    lambda rng: (_outside(rng), _outside(rng)),
+    lambda rng: (_inside(rng), _outside(rng)),
+    lambda rng: (_outside(rng), _inside(rng)),
+    lambda rng: _pair_beside(rng, rng.uniform(-0.99, 0.99)),
+    lambda rng: _pair_beside(rng, _outside(rng)),
+], ids=["inside", "outside", "inside-outside", "outside-inside",
+        "coincident-inside", "coincident-outside"])
+def test_stream_past_the_direct_start_matches_exact_oracle(draw):
+    # Shells 16..200 come from the two-term recurrence; whichever argument
+    # drives it, each C_q stays within 64 eps of sum_n |T_n T_{q-n}|.
+    alpha, beta = draw(random.Random(27))
+    exact, scales = shell_values_exact(200, alpha, beta)
+    got = shell_values(200, alpha, beta)
+    for q in range(16, 201):
+        err = abs(Fraction(got[q].real) - exact[q])
+        assert err <= 64 * sys.float_info.epsilon * scales[q], (alpha, beta, q)
+
+
+def test_shell_swap_is_bit_identical_through_shell_200():
+    # Swapping alpha and beta picks the same recurrence driver, so every
+    # shell keeps its bits, signed zeros included.
+    rng = random.Random(28)
+    pairs = [(complex(rng.uniform(-2, 2), rng.uniform(-1, 1)),
+              complex(rng.uniform(-2, 2), rng.uniform(-1, 1))) for _ in range(30)]
+    x = rng.uniform(-0.9, 0.9)
+    # the last three pairs differ only in the signs of zero
+    pairs += [(x, x), (x, x + 1e-9), (0.5, -0.5), (0j, complex(-0.0, -0.0)),
+              (complex(0.3, 0.0), complex(0.3, -0.0)),
+              (complex(0.0, -0.26), complex(-0.0, -0.26))]
+    for alpha, beta in pairs:
+        ab = shell_values(200, alpha, beta)
+        ba = shell_values(200, beta, alpha)
+        assert [(repr(v.real), repr(v.imag)) for v in ab] == \
+               [(repr(v.real), repr(v.imag)) for v in ba], (alpha, beta)
+
+
+def test_direct_start_is_the_pairwise_convolution_bit_for_bit():
+    # Shells 0..15 sum the pairs (n, q-n) and (q-n, n) together, then the
+    # middle term, on the recurrence's own T values.
+    rng = random.Random(29)
+    for _ in range(20):
+        alpha = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        beta = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        ta = [cheb_t(n, alpha) for n in range(16)]
+        tb = [cheb_t(n, beta) for n in range(16)]
+        for q, got in enumerate(shell_values(15, alpha, beta)):
+            total = 0j
+            for n in range((q + 1) // 2):
+                total += ta[n] * tb[q - n] + ta[q - n] * tb[n]
+            if q % 2 == 0:
+                total += ta[q // 2] * tb[q // 2]
+            assert (repr(got.real), repr(got.imag)) == (repr(total.real), repr(total.imag))
+
+
 # ---------------------------------------------------------- growth radius
 
 def test_growth_radius_inside_interval_is_one():

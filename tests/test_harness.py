@@ -466,6 +466,49 @@ def test_sweep_rows_match_point_by_point_evaluation(tmp_path, fmt):
     assert seen_skip and seen_flag and seen_flagged_skip
 
 
+def test_sweep_csv_cells_are_the_17_digit_text_of_each_value(tmp_path):
+    # A NaN a is refused with a message holding a comma, so its row needs
+    # CSV quoting; alpha = -0.0-0.0i gives signed zero cells; at k = -2,
+    # a*pi = 0.1307 the fixed-mode series overflows to an infinite error
+    # estimate with overflow-saturation; at a*pi = 300, beta = -1.5 the
+    # closed form is NaN.
+    nan = float("nan")
+    a = (complex(nan, 0.0), 0.13066616661942596 / math.pi + 0j, 300.0 / math.pi + 0j)
+    alpha = (-1.6698500023617897 + 0j, complex(-0.0, -0.0))
+    beta = (-0.37267443809656786 + 0j, -1.5 + 0j, 0.5 + 0j)
+    k = -2 + 0j
+    policy = TruncationPolicy(mode="fixed")
+    out = tmp_path / "grid.csv"
+    run_sweep(SweepConfig(a=a, k=(k,), alpha=alpha, beta=beta, policy=policy,
+                          output_path=str(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    points = [(va, val, vb) for va in a for val in alpha for vb in beta]
+    assert len(rows) == len(points)
+    texts = set()
+    for row, (va, val, vb) in zip(rows, points):
+        values = [va.real, va.imag, k.real, k.imag, val.real, val.imag, vb.real, vb.imag]
+        with collect() as seen:
+            try:
+                params = SeriesParams(a=va, k=k, alpha=val, beta=vb)
+            except ConfigError as exc:
+                assert row[-1] == f"skipped-with-warning: {exc}"
+                values += [None] * 6
+            else:
+                result = series_sum(params, policy)
+                closed = closed_form(params)
+                s = result.value
+                values += [s.real, s.imag, result.error_estimate, closed.real, closed.imag,
+                           abs(s - closed) / max(abs(s), abs(closed), 1e-300)]
+                assert row[-1] == "; ".join(sorted(seen))
+        assert row[:-1] == ["" if v is None else format(v, ".17g") for v in values]
+        texts.update(row[:-1])
+        if row[10] == "inf":
+            assert "overflow-saturation" in row[-1]
+    assert {"-0", "nan", "inf", ""} <= texts
+    assert '"skipped-with-warning: a must be finite, got (nan+0j)"' in out.read_text()
+
+
 # ------------------------------------------------------------------- CLI
 
 def test_cli_eval_closed(capsys):
