@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chebgamma.harness import (  # noqa: E402
     DEFAULT_SEED, render_report_json, render_report_text, run_all)
+from chebgamma.sweep import _open_in_place  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
         if args.json is not None:
             os.makedirs(args.json, exist_ok=True)
             path = os.path.join(args.json, f"report-{seed}.json")
-            with open(path, "w") as fh:
+            with _open_in_place(path) as fh:
                 fh.write(doc)
             print(f"wrote {path}")
         any_fail |= any(r.status == "fail" for r in reports)

@@ -3,10 +3,13 @@
 
 Builds the ``sweep-wide`` and ``sweep-deep`` grids of every variant of a
 seed exactly as the benchmark does (``perfbench/workloads.py``), runs each
-cell through ``run_sweep`` once, and hashes the variants' per-step digests
-in variant order.  Two checkouts whose lines match wrote byte-identical
-sweep files for every cell, so a change meant to keep every value can be
-checked with one diff.
+cell through ``run_sweep`` twice in the same directory, and hashes the
+variants' per-step digests in variant order.  Two checkouts whose lines
+match wrote byte-identical sweep files for every cell, so a change meant
+to keep every value can be checked with one diff.  The second run writes
+over the first run's files, as every timed step of the benchmark does;
+when its digest differs from the first, the script names the variant and
+exits with status 1.
 
 Usage:
     python scripts/sweep_fingerprint.py
@@ -35,7 +38,12 @@ def fingerprint(workload: str, seed: int) -> str:
         bench = wl.Workload(workload, seed, workdir)
         for v in range(bench.variants):
             bench.step(v)
-            digest.update(bench.digest(v).encode())
+            first = bench.digest(v)
+            bench.step(v)
+            if bench.digest(v) != first:
+                sys.exit(f"error: {workload} seed {seed} variant {v}: "
+                         "a rerun over its own files changed the output")
+            digest.update(first.encode())
     return digest.hexdigest()
 
 

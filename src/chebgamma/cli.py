@@ -29,7 +29,7 @@ from .harness import (
 )
 from .series import _MODES as _SERIES_MODES
 from .series import SeriesParams, TruncationPolicy, series_sum
-from .sweep import parse_complex_literal, parse_sweep_config, run_sweep
+from .sweep import _open_in_place, parse_complex_literal, parse_sweep_config, run_sweep
 
 __all__ = ["main"]
 
@@ -128,7 +128,7 @@ def _cmd_verify(args) -> int:
     reports = run_all(seed=args.seed, only=args.case)
     sys.stdout.write(render_report_text(reports, args.seed))
     if args.json is not None:
-        with open(args.json, "w") as fh:
+        with _open_in_place(args.json) as fh:
             fh.write(render_report_json(reports, args.seed))
     return 1 if any(r.status == "fail" for r in reports) else 0
 

@@ -12,14 +12,17 @@ for every order s:
   with ``|z| >= 40 + 2|s|``: the large-|z| asymptotic expansion
   (DLMF 8.11.2), a few dozen terms at most; if it does not settle, the
   series pocket below
-* the series pocket, ``|z| + Re z <= 4`` or ``|z| < 1.5 * (1 + |s|)``
-  with ``Re z >= 0`` (radius 1.5 once Re s < 0): Gamma(s) - gamma(s, z),
+* the series pocket, ``|z| + Re z <= 4`` or ``|z|`` below the pocket
+  radius with ``Re z >= 0``: Gamma(s) - gamma(s, z),
   with gamma from the power series for ``Re z >= 0`` and from Kummer's
   series sum_n (-z)^n / (n! (s + n)) for ``Re z < 0`` (terms of one sign
   near the cut, so no exponential cancellation, but O(|z|) of them).  At
   a non-positive integer s = -m, where Gamma(s) has a pole, the pocket
   takes the s -> -m limit of Kummer's series instead (DLMF 8.4.15),
-  summed by the same loop with the n = m term left out
+  summed by the same loop with the n = m term left out.  The radius is
+  1.5 * (1 + |s|) up to |s| = 9, then ``max(15, 1.1 |s|)``: past it the
+  direct series soon loses digits, while the continued fraction is sharp
+  and cheaper (see ``_POCKET_RATIO``); 1.5 once Re s < 0
 * everywhere else   Legendre continued fraction (modified Lentz, budget
   10000, tolerance 1e-15 on successive convergents); left of the
   imaginary axis, an open defect: below ``|z|/|s|`` of about 0.6 its
@@ -74,6 +77,20 @@ _EXP_OVERFLOW = 709.0
 # the series pocket, so the constants trade speed, not accuracy.
 _ASYMPTOTIC_MIN_Z = 40.0
 _ASYMPTOTIC_BUDGET = 64
+# For Re s >= 0 the right half-plane pocket ends at max(_POCKET_MIN_Z,
+# _POCKET_RATIO |s|) once that is below 1.5 (1 + |s|), i.e. from |s| = 9
+# on, so small orders keep their pocket.  A seeded probe against 30-digit
+# mpmath (Re s in [10, 300], |Im s| <= Re s, Re z >= 0) set the ratio.
+# The direct series loses digits as |z| grows past |s|: worst 1.3e-12 at
+# 1.1 |s|, 7e-12 at 1.2 |s|, 1.5e-10 at 1.3 |s| and 1.2e-5 at 1.5 |s|.
+# The continued fraction holds 2e-13 from 1.15 |s| on and costs a half to
+# a third of the series there, but closer in it loses digits next to the
+# imaginary axis on the side of Im s: worst 5.6e-8 at |s|, 6.1e-10 at
+# 1.05 |s| and 1.2e-11 at 1.1 |s|.  So real orders could take the
+# fraction from |s| on, and 1.1 |s| is where both routes stay near 1e-11
+# for every order of the probe.
+_POCKET_MIN_Z = 15.0
+_POCKET_RATIO = 1.1
 _SNAP = 1e-12
 
 
@@ -356,22 +373,27 @@ def upper_gamma(s, z) -> complex:
         raise KernelDomainError("upper_gamma(s, 0) requires Re(s) > 0")
     # For Re(s) < 0 the subtraction Gamma(s) - gamma(s, z) cancels as soon
     # as |z| is a little past 1, while the continued fraction stays sharp
-    # all the way down, so the series pocket shrinks with Re(s) < 0.  Left
-    # half-plane z inside the pocket still goes to the continued fraction
-    # once past the reflection budget: the reflected series cancels like
-    # e^(|z| + Re z) there.  The fraction is sharp there except where
-    # |z| < |s| (module docstring).
+    # all the way down, so the series pocket shrinks with Re(s) < 0.  For
+    # Re(s) >= 0 the direct series loses digits past about 1.2 |s|, where
+    # the fraction is sharp, so the pocket ends at 1.1 |s| (_POCKET_RATIO).
+    # Left half-plane z inside the pocket still goes to the continued
+    # fraction once past the reflection budget: the reflected series
+    # cancels like e^(|z| + Re z) there.  The fraction is sharp there
+    # except where |z| < |s| (module docstring).
     # One decision serves every s; only the series pocket splits off the
     # non-positive integers, where Gamma(s) has a pole.
-    series_radius = 1.5 * (1.0 + abs(s)) if s.real >= 0.0 else 1.5
-    near_cut = abs(z) + z.real <= _REFLECT_MAX_CANCEL
-    if near_cut and abs(z) >= _ASYMPTOTIC_MIN_Z + 2.0 * abs(s):
+    abs_s, abs_z = abs(s), abs(z)
+    series_radius = 1.5 * (1.0 + abs_s) if s.real >= 0.0 else 1.5
+    if series_radius > _POCKET_MIN_Z:
+        series_radius = max(_POCKET_MIN_Z, _POCKET_RATIO * abs_s)
+    near_cut = abs_z + z.real <= _REFLECT_MAX_CANCEL
+    if near_cut and abs_z >= _ASYMPTOTIC_MIN_Z + 2.0 * abs_s:
         # Far out along the cut the asymptotic expansion replaces the
         # O(|z|) Kummer series, which stays as its fallback.
         g = _upper_asymptotic(s, z)
         if g is not None:
             return g
-    if near_cut or (abs(z) < series_radius and z.real >= 0.0):
+    if near_cut or (abs_z < series_radius and z.real >= 0.0):
         m = _nearest_nonpos_int(s)
         if m is not None:
             return _upper_series_nonpos_int(m, z)

@@ -22,10 +22,13 @@ time a regular point of the block needs them and reused by the rest of
 the block, so kernel work per block grows with n_alpha + n_beta, not
 n_alpha * n_beta.  Blocks are independent pure evaluations, so a
 concurrent sweep would split the grid by block; this implementation
-evaluates sequentially and writes buffered rows once, which already
-makes the output deterministic.  Each point opens one flag scope and
-is buffered as one tuple in column order; JSON rows are keyed by
-column only when written.  Points
+evaluates sequentially, which already makes the output deterministic.
+Each point opens one flag scope and is buffered as one tuple in column
+order; JSON rows are keyed by column only when written.  The rows are
+then streamed over the output file's old bytes, and only a longer old
+tail is trimmed (``_open_in_place``): a rerun into an existing file
+leaves exactly the new bytes without paying for a truncate to zero
+first.  Points
 that land on a singular parameter set are reported as
 ``skipped-with-warning`` rows rather than aborting the sweep.  CSV
 numbers are written with ``"%.17g" %`` (the text of ``format(x,
@@ -38,8 +41,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -252,6 +257,30 @@ def _evaluate_point(a, k, alpha, beta, config, root_pair):
     return row, skip is not None
 
 
+def _keep_old_bytes(path, flags):
+    # open()'s own flags for "w" minus O_TRUNC, with its default mode 0o666
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _open_in_place(path, newline=None):
+    """Open path for text writing as open(path, "w") does, but over its old bytes.
+
+    The file is created as open() creates it, and an existing file is not
+    truncated to zero first; what is left of its old bytes past the new
+    ones is trimmed when the block ends, so the file then holds exactly
+    what was written.  Files that had no bytes, such as a pipe or
+    /dev/null, are never truncated.
+    """
+    with open(path, "w", newline=newline, opener=_keep_old_bytes) as fh:
+        try:
+            yield fh
+        finally:
+            old_size = os.fstat(fh.fileno()).st_size
+            if old_size and fh.tell() < old_size:
+                fh.truncate()
+
+
 def run_sweep(config: SweepConfig) -> SweepSummary:
     """Evaluate the full grid and write one row per point.
 
@@ -271,7 +300,7 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
                     rows.append(row)
 
     if config.format == "csv":
-        with open(config.output_path, "w", newline="") as fh:
+        with _open_in_place(config.output_path, newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(SWEEP_COLUMNS)
             # "%.17g" % x is format(x, ".17g"): 17 digits round-trip a double
@@ -279,7 +308,7 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
                 ["" if x is None else "%.17g" % x for x in row[:-1]] + [row[-1]]
                 for row in rows)
     else:
-        with open(config.output_path, "w") as fh:
+        with _open_in_place(config.output_path) as fh:
             json.dump({"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]},
                       fh, indent=2)
             fh.write("\n")

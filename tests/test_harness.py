@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import random
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -344,6 +347,58 @@ def test_sweep_json_format(tmp_path):
     assert row["series_re"] is not None
 
 
+def _small_sweep(path, fmt):
+    return SweepConfig(a=(5 + 0j,), k=(1 + 0j, 2.5 + 0j), alpha=(0.3 + 0j,),
+                       beta=(-0.4 + 0j, 0.6 + 0j), output_path=str(path), format=fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("old_size", [1, 100_000])
+def test_sweep_over_an_existing_file_leaves_exactly_the_new_bytes(tmp_path, fmt, old_size):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    run_sweep(_small_sweep(fresh, fmt))
+    reused.write_bytes(b"\xff" * old_size)
+    run_sweep(_small_sweep(reused, fmt))
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_into_the_null_device(fmt):
+    assert run_sweep(_small_sweep(os.devnull, fmt)).points_evaluated == 4
+
+
+def test_sweep_into_a_pipe(tmp_path):
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    run_sweep(_small_sweep(fifo, "csv"))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    run_sweep(_small_sweep(plain, "csv"))
+    assert received == [plain.read_bytes()]
+
+
+def test_new_sweep_file_gets_the_permission_bits_of_open_w(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        run_sweep(_small_sweep(tmp_path / "grid.csv", "csv"))
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(old_umask)
+    mode = os.stat(tmp_path / "grid.csv").st_mode
+    assert mode == os.stat(tmp_path / "plain.csv").st_mode
+    assert stat.S_IMODE(mode) == 0o640
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_into_a_missing_directory_raises(tmp_path, fmt):
+    with pytest.raises(FileNotFoundError):
+        run_sweep(_small_sweep(tmp_path / "missing" / "grid", fmt))
+
+
 def test_skipped_row_keeps_the_flags_of_the_route_that_ran(tmp_path):
     # At k = 180 the series overflows and flags it; at alpha = beta the
     # closed form is then refused.  The skipped row still carries the flag.
@@ -562,6 +617,20 @@ def test_cli_verify_single_case(capsys, tmp_path):
     assert doc["cases"][0]["case_id"] == "prop1-k1"
 
 
+def test_cli_verify_json_over_a_longer_file_leaves_exactly_the_report(capsys, tmp_path):
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    reused.write_text("x" * 100_000)
+    for path in (fresh, reused):
+        assert main(["verify", "--case", "prop1-k1", "--json", str(path)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_cli_verify_json_into_a_missing_directory_exits_2(capsys, tmp_path):
+    rc = main(["verify", "--case", "prop1-k1", "--json", str(tmp_path / "missing" / "r.json")])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_cli_list_shows_all_cases(capsys):
     rc = main(["list"])
     out = capsys.readouterr().out
@@ -595,6 +664,13 @@ def test_cli_sweep_end_to_end(capsys, tmp_path):
     assert out_csv.exists()
     with open(out_csv, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 8
+
+
+def test_cli_sweep_into_a_missing_directory_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(GOOD_CONFIG.format(path=tmp_path / "missing" / "demo.csv"))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_cli_demo_sweep_matches_the_readme(capsys, tmp_path, monkeypatch):

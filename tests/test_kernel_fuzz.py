@@ -16,8 +16,12 @@ forms need it most:
   where w^s alone underflows while Gamma(s, w) is a normal double;
 * E_n(w) = w^(n-1) Gamma(1-n, w) for n = 1..7, at any angle and next to
   the cut;
-* Re s in [100, 300] in the series pocket (Re w >= 0), where w^s alone
-  leaves the double range while Gamma(s, w) need not.
+* Re s in [100, 300] in the series pocket and past its edge (Re w >= 0),
+  where w^s alone leaves the double range while Gamma(s, w) need not;
+* Re s in [10, 300], |Im s| <= Re s, within 1e-12 of the edge of that
+  pocket on either side, where the direct series hands over to the
+  continued fraction: each route on both sides, and the two against
+  each other.
 
 The last check holds the one scaling step e^a e^b sum of every regime to
 the rounding of its folded exponent where it switches from the split form
@@ -161,7 +165,7 @@ def test_exp_integral_e_matches_mpmath():
 def pocket_draws(seed, count, lo, hi):
     """Re s in [100, 300], real or complex; Re w >= 0 with |w|/|s| in [lo, hi].
 
-    |w| stays below the pocket radius 1.5 (1 + |s|).
+    |w| stays below 1.5 (1 + |s|).
     """
     rng = random.Random(seed)
     pairs = []
@@ -177,11 +181,36 @@ def test_large_orders_in_the_series_pocket_match_mpmath():
     assert assert_matches(pairs, upper_gamma, reference) >= 20
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "past |w| of about 1.3|s| the series pocket, which reaches 1.5(1 + |s|), "
-    "loses up to six digits; the continued fraction holds 2e-13 there"))
 def test_large_orders_at_the_edge_of_the_series_pocket_match_mpmath():
     assert_matches(pocket_draws(6, 40, 1.3, 1.5), upper_gamma, reference)
+
+
+def test_both_routes_match_mpmath_at_the_edge_of_the_series_pocket():
+    rng = random.Random(13)
+    checked = 0
+    for i in range(60):
+        re_s = rng.uniform(10.0, 300.0)
+        s = complex(re_s, 0.0 if i % 2 else rng.uniform(-re_s, re_s))
+        edge = max(complexfn._POCKET_MIN_Z, complexfn._POCKET_RATIO * abs(s))
+        # a third of the draws next to the imaginary axis on the side of
+        # Im s, where the continued fraction is weakest
+        angle = rng.uniform(-math.pi / 2, math.pi / 2)
+        if i % 3 == 0:
+            angle = math.copysign(rng.uniform(1.3, math.pi / 2), s.imag or angle)
+        for radius in (edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)):
+            w = cmath.rect(radius, angle)
+            want = reference(s, w)
+            if not (cmath.isfinite(want)
+                    and 1e-300 < max(abs(want.real), abs(want.imag)) < 1e300):
+                continue
+            series = complexfn.gamma_fn(s) - complexfn._lower_series_direct(s, w)
+            fraction = complexfn._upper_cf(s, w)
+            assert upper_gamma(s, w) == (series if radius < edge else fraction)
+            for got in (series, fraction):
+                assert rel(got, want) <= 1e-10, (s, w, got, want)
+            assert rel(series, fraction) <= 1e-10, (s, w, series, fraction)
+            checked += 1
+    assert checked >= 40
 
 
 def test_split_and_folded_scaling_agree_at_the_switch():
