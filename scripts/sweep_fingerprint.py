@@ -11,15 +11,29 @@ over the first run's files, as every timed step of the benchmark does;
 when its digest differs from the first, the script names the variant and
 exits with status 1.
 
+``--dump DIR`` also keeps every cell's CSV, as
+``DIR/<workload>/seed-<seed>/<cell>.csv`` (a cell whose ``run_sweep``
+aborted leaves no file).  ``--against DIR`` reads such a dump, made by
+another checkout, and reports per workload and seed how the rows moved:
+how many rows changed in each column, the largest relative change of
+each value between finite readings (a complex value is one value), and
+every move of a point between the benchmark's failure causes, judged by
+``workloads.judge_row``.
+
 Usage:
     python scripts/sweep_fingerprint.py
     python scripts/sweep_fingerprint.py --seeds 1,2,7 --workloads sweep-wide
+    python scripts/sweep_fingerprint.py --seeds 1 --dump /tmp/parent-rows
+    python scripts/sweep_fingerprint.py --seeds 1 --against /tmp/parent-rows
 """
 
 import argparse
 import hashlib
+import math
+import shutil
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,11 +43,101 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads as wl  # noqa: E402
 
 SWEEPS = tuple(name for name in wl.WORKLOADS if name != "verify")
+ABORTED = "aborted"
 
 
-def fingerprint(workload: str, seed: int) -> str:
-    """sha256 over the digests of every variant's step, in variant order."""
+def _label(row) -> str:
+    """Failure cause of a row (None for an aborted cell), or "pass"."""
+    if row is None:
+        return ABORTED
+    outcome = wl.judge_row(row)
+    return outcome.cause if outcome.failed else "pass"
+
+
+def _value(row: dict, name: str) -> complex:
+    # a complex pair name_re/name_im, or a real column; "" reads as nan
+    if f"{name}_re" in row:
+        parts = (row[f"{name}_re"], row[f"{name}_im"])
+    else:
+        parts = (row[name], "0")
+    if "" in parts:
+        return complex(math.nan, math.nan)
+    return complex(float(parts[0]), float(parts[1]))
+
+
+def _relative_change(old: complex, new: complex):
+    # None where either side is not finite: the failure causes show those
+    if not (wl.finite(old) and wl.finite(new)):
+        return None
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+class RowDiff:
+    """How one set of sweep rows moved against an older set of the same points."""
+
+    def __init__(self):
+        self.rows = 0
+        self.rows_changed = 0
+        self.changed = Counter()        # column -> rows whose text differs
+        self.largest = {}               # value name -> largest relative change
+        self.moves = Counter()          # (old label, new label) -> points
+
+    def add_cell(self, old_rows, new_rows, size: int):
+        """Compare one cell; a list of rows per side, or None where it aborted."""
+        olds = old_rows if old_rows is not None else [None] * size
+        news = new_rows if new_rows is not None else [None] * size
+        if len(olds) != len(news):
+            raise ValueError(f"row counts differ: {len(olds)} against {len(news)}")
+        for old, new in zip(olds, news):
+            self.rows += 1
+            before, after = _label(old), _label(new)
+            if before != after:
+                self.moves[before, after] += 1
+            if old is None or new is None:
+                self.rows_changed += (old is None) != (new is None)
+                continue
+            columns = [c for c in new if old[c] != new[c]]
+            if not columns:
+                continue
+            self.rows_changed += 1
+            self.changed.update(columns)
+            for name in {c[:-3] if c[-3:] in ("_re", "_im") else c for c in columns}:
+                if name == "warnings":
+                    continue
+                change = _relative_change(_value(old, name), _value(new, name))
+                if change is not None:
+                    self.largest[name] = max(self.largest.get(name, 0.0), change)
+
+    def report(self) -> list:
+        lines = [f"{self.rows_changed} of {self.rows} rows changed"]
+        if self.changed:
+            lines.append("rows changed per column: " + ", ".join(
+                f"{c} {n}" for c, n in sorted(self.changed.items())))
+        if self.largest:
+            lines.append("largest relative change: " + ", ".join(
+                f"{name} {value:.3g}" for name, value in sorted(self.largest.items())))
+        if self.moves:
+            lines.append("failure-cause moves: " + ", ".join(
+                f"{a} -> {b} {n}" for (a, b), n in sorted(self.moves.items())))
+        else:
+            lines.append("failure-cause moves: none")
+        return lines
+
+
+def _cell_dir(root: Path, workload: str, seed: int) -> Path:
+    return root / workload / f"seed-{seed}"
+
+
+def fingerprint(workload: str, seed: int, dump=None, against=None):
+    """sha256 over the digests of every variant's step, in variant order.
+
+    Returns (digest, RowDiff or None).  ``dump`` and ``against`` are the
+    roots of a dump to write and of one to compare with.
+    """
     digest = hashlib.sha256()
+    diff = RowDiff() if against is not None else None
     with tempfile.TemporaryDirectory() as workdir:
         bench = wl.Workload(workload, seed, workdir)
         for v in range(bench.variants):
@@ -44,7 +148,22 @@ def fingerprint(workload: str, seed: int) -> str:
                 sys.exit(f"error: {workload} seed {seed} variant {v}: "
                          "a rerun over its own files changed the output")
             digest.update(first.encode())
-    return digest.hexdigest()
+            if dump is None and diff is None:
+                continue
+            outcomes = bench.judge(v)
+            for i, cell in enumerate(bench.cells[v]):
+                path = Path(cell.output_path)
+                aborted = outcomes[i * bench.cell_size].cause == ABORTED
+                if dump is not None and not aborted:
+                    target = _cell_dir(dump, workload, seed)
+                    target.mkdir(parents=True, exist_ok=True)
+                    shutil.copyfile(path, target / path.name)
+                if diff is not None:
+                    old = _cell_dir(against, workload, seed) / path.name
+                    diff.add_cell(wl.read_sweep_csv(old) if old.exists() else None,
+                                  None if aborted else wl.read_sweep_csv(path),
+                                  bench.cell_size)
+    return digest.hexdigest(), diff
 
 
 def main(argv=None) -> int:
@@ -52,14 +171,28 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="1,2,7", help="comma-separated benchmark seeds")
     parser.add_argument("--workloads", default=",".join(SWEEPS),
                         help=f"comma-separated subset of {', '.join(SWEEPS)}")
+    parser.add_argument("--dump", type=Path, default=None, metavar="DIR",
+                        help="keep every cell's CSV under DIR/<workload>/seed-<seed>/")
+    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
+                        help="report how the rows moved against a --dump DIR")
     args = parser.parse_args(argv)
     names = args.workloads.split(",")
     unknown = [name for name in names if name not in SWEEPS]
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
+    seeds = [int(tok) for tok in args.seeds.split(",")]
+    if args.against is not None:
+        missing = [str(_cell_dir(args.against, name, seed)) for name in names
+                   for seed in seeds if not _cell_dir(args.against, name, seed).is_dir()]
+        if missing:
+            parser.error(f"no dump at {', '.join(missing)}")
     for name in names:
-        for seed in (int(tok) for tok in args.seeds.split(",")):
-            print(f"{name} seed {seed}: {fingerprint(name, seed)}")
+        for seed in seeds:
+            digest, diff = fingerprint(name, seed, args.dump, args.against)
+            print(f"{name} seed {seed}: {digest}")
+            if diff is not None:
+                for line in diff.report():
+                    print(f"  {line}")
     return 0
 
 

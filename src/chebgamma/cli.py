@@ -27,7 +27,7 @@ from .harness import (
     render_report_text,
     run_all,
 )
-from .series import _MODES as _SERIES_MODES
+from .series import _MODE_ALIAS, _MODES as _SERIES_MODES
 from .series import SeriesParams, TruncationPolicy, series_sum
 from .sweep import _open_in_place, parse_complex_literal, parse_sweep_config, run_sweep
 
@@ -73,7 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="series value at one point")
     point_args(p_series)
-    p_series.add_argument("--mode", choices=_SERIES_MODES, default=_DEFAULT_POLICY.mode)
+    p_series.add_argument("--mode", choices=_SERIES_MODES + (_MODE_ALIAS,),
+                          metavar="{" + ",".join(_SERIES_MODES) + "}",
+                          default=_DEFAULT_POLICY.mode,
+                          help="optimal: integer k summed exactly, any other k to the "
+                               "smallest term; fixed: tolerance stop for every k "
+                               "(default: %(default)s)")
     p_series.add_argument("--max-shell", type=int, default=_DEFAULT_POLICY.max_shell)
     p_series.add_argument("--rel-tol", type=float, default=_DEFAULT_POLICY.rel_tol)
 

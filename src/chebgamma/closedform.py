@@ -40,7 +40,6 @@ from .complexfn import (
     csqrt,
     erfc_complex,
     exp_integral_e,
-    log_gamma,
     upper_gamma,
 )
 from .errors import ConfigError, NonConvergenceError, PoleError, SingularParameterError
@@ -138,7 +137,10 @@ def contour_term(spec: ContourTermSpec, params: SeriesParams) -> complex:
     e^(z X) X^(-(k+1+shift)) Gamma(k+1+shift, z X) / Gamma(k+1+shift)
     with X = x +- i sqrt(1-x^2) and z = a*pi; the sum of the twelve is
     the series value once the shared Gamma(k) z^(-k) factor from the
-    generating-kernel side is folded in, which this function does.
+    generating-kernel side is folded in, which this function does.  The
+    ratio Gamma(k) / Gamma(k+1+shift) is taken exactly, as the Pochhammer
+    ratio 1, 1/k or 1/(k (k+1)) for shift -1, 0, +1, so the term stays
+    finite at k = -2, -3, ..., where Gamma(k) alone has a pole.
     """
     _check_regular(params,
                    alpha_side=spec.variable == "alpha-side",
@@ -149,18 +151,19 @@ def contour_term(spec: ContourTermSpec, params: SeriesParams) -> complex:
     root = csqrt(1.0 - x * x)
     big_x = x + 1j * root if spec.root_sign == "+" else x - 1j * root
     order = k + 1.0 + spec.order_shift
+    # pref, and ratio = Gamma(k) / Gamma(order)
     if spec.order_shift == 1:
-        pref = 1.0 + 0.0j
+        pref, ratio = 1.0 + 0.0j, 1.0 / (k * (k + 1.0))
     elif spec.order_shift == 0:
         # printed with a stray standalone token in two of the equations;
         # the multiplier used to build them is (alpha + beta)
-        pref = alpha + beta
+        pref, ratio = alpha + beta, 1.0 / k
     else:
-        pref = alpha * beta
+        pref, ratio = alpha * beta, 1.0
     side = 1.0 if spec.variable == "alpha-side" else -1.0
     rsgn = 1.0 if spec.root_sign == "+" else -1.0
     sign = side * rsgn * (-1.0 if spec.order_shift == 0 else 1.0)
-    norm = cexp(log_gamma(k) - log_gamma(order)) * cpow(z, -k)
+    norm = ratio * cpow(z, -k)
     return checked(sign * 1j * pref / (4.0 * root * (alpha - beta))
                    * cexp(z * big_x) * cpow(big_x, -order)
                    * upper_gamma(order, z * big_x) * norm)

@@ -21,13 +21,12 @@ swap of alpha and beta keeps every bit) and steps the weight and
 z^(-q) by one factor each, so every shell costs O(1) work and a sum
 through Q shells costs O(Q).
 
-The truncation modes are two policies under three names.
-``exact-if-terminating`` and ``optimal`` are the same policy: a
-terminating k is summed through shell k with no early stop, and any
-other k stops at the tolerance or at the first upturn of the envelope.
-``fixed`` uses the tolerance stop alone, for every k, so a terminating k
-may stop before shell k.  Every mode stops at ``max_shell``, and every
-stop rule except the exact sum gives up once a shell overflows.
+There are two truncation modes.  ``optimal``, the default, sums a
+terminating k through shell k with no early stop, and stops any other k
+at the tolerance or at the first upturn of the envelope.  ``fixed`` uses
+the tolerance stop alone, for every k, so a terminating k may stop
+before shell k.  Both modes stop at ``max_shell``, and every stop rule
+except the exact sum gives up once a shell overflows.
 
 The envelope used for truncation decisions is
 
@@ -68,7 +67,9 @@ _EPS = sys.float_info.epsilon
 # coincident arguments (measured: 99th-percentile deviation ~5e4 eps of
 # the term-modulus sum at a*pi = e^4 over uniform (-1,1) draws).
 _ROUNDOFF_FACTOR = 65536.0
-_MODES = ("exact-if-terminating", "fixed", "optimal")
+_MODES = ("optimal", "fixed")
+# an earlier name of "optimal", still accepted
+_MODE_ALIAS = "exact-if-terminating"
 
 
 def _scalar(value, name: str) -> complex:
@@ -100,11 +101,18 @@ class SeriesParams:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    mode: str = "exact-if-terminating"
+    """Where series_sum stops: mode ``optimal`` or ``fixed`` (module docstring).
+
+    The name ``exact-if-terminating`` is read as ``optimal``.
+    """
+
+    mode: str = "optimal"
     max_shell: int = 512
     rel_tol: float = 1e-14
 
     def __post_init__(self):
+        if self.mode == _MODE_ALIAS:
+            object.__setattr__(self, "mode", "optimal")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not isinstance(self.max_shell, int) or self.max_shell < 4:

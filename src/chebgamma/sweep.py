@@ -8,7 +8,7 @@ comment; blank lines ignored; list values are comma separated)::
     alpha  = -0.5, 0.0, 0.5
     beta   = 0.25
     mode   = both               # series | closed | both
-    series_mode = optimal       # truncation policy: exact-if-terminating | fixed | optimal
+    series_mode = optimal       # truncation policy: optimal | fixed
     max_shell   = 256
     rel_tol     = 1e-12
     output_path = sweep_out.csv

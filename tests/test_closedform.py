@@ -84,6 +84,34 @@ def test_term_sum_equals_assembled_form_200_draws():
         assert rel(total, closed_form(p)) <= 1e-11
 
 
+@pytest.mark.parametrize("k, want", ((-2, -0.48251336922771), (-3, -0.30321517550070)))
+def test_term_sum_equals_assembled_form_at_negative_integer_k(k, want):
+    # Gamma(k) has a pole here, but each term's ratio Gamma(k)/Gamma(k+1+shift)
+    # is the finite Pochhammer ratio 1, 1/k or 1/(k(k+1))
+    p = params(0.3, -0.55, k, 10.0)
+    total = sum(contour_term(s, p) for s in TWELVE_TERMS)
+    assert rel(total, closed_form(p)) <= 1e-12
+    assert abs(total - want) <= 1e-13
+
+
+def test_term_sum_equals_assembled_form_at_large_integer_k():
+    # every root X has Re X > 0, so no continued fraction runs left of the
+    # imaginary axis; the exact ratio keeps the gap near 2.5e-13, where a
+    # ratio taken as exp(log Gamma(k) - log Gamma(k+1+shift)) reaches 3.6e-11
+    rng = random.Random(44)
+    compared = 0
+    for _ in range(200):
+        k = rng.randint(20, 160)
+        alpha, beta = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+        p = params(alpha, beta, k, rng.uniform(0.6 * k, 3.0 * k))
+        if abs(alpha - beta) < 0.05 or not cmath.isfinite(closed := closed_form(p)):
+            continue
+        total = sum(contour_term(s, p) for s in TWELVE_TERMS)
+        assert rel(total, closed) <= 1e-12, (p, total, closed)
+        compared += 1
+    assert compared >= 100
+
+
 def test_root_sign_partners_are_conjugate():
     # For real parameters the +/- root pair of each (side, shift) cell is a
     # complex-conjugate pair; this is what makes the total real.

@@ -61,6 +61,16 @@ def test_log_gamma_pole():
         log_gamma(-3.0)
 
 
+def test_kernels_take_complex_scalars_and_refuse_non_finite_ones():
+    class Sub(complex):
+        pass
+
+    assert log_gamma(Sub(5.0)) == log_gamma(5.0 + 0j) == log_gamma(5)
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), math.inf, "x", None):
+        with pytest.raises(KernelDomainError):
+            log_gamma(bad)
+
+
 def test_gamma_fn_real_axis_is_real():
     assert gamma_fn(4.0) == pytest.approx(6.0, rel=1e-13)
     assert complex(gamma_fn(4.0)).imag == 0.0

@@ -1,6 +1,7 @@
 """Verification harness, sweep engine, and the batch CLI."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -683,6 +684,40 @@ def test_cli_demo_sweep_matches_the_readme(capsys, tmp_path, monkeypatch):
     assert rc == 0
     assert "points = 24\nfailures = 6\n" in out
     assert (tmp_path / "demo_grid_out.csv").exists()
+
+
+def test_cli_series_reads_exact_if_terminating_as_optimal(capsys):
+    point = ["series", "--a", "10", "--k", "-0.5", "--alpha", "0.3", "--beta", "-0.45"]
+    assert main(point + ["--mode", "exact-if-terminating"]) == 0
+    alias = capsys.readouterr().out
+    assert main(point + ["--mode", "optimal"]) == 0
+    assert capsys.readouterr().out == alias
+    assert main(point) == 0
+    assert capsys.readouterr().out == alias
+
+
+def test_sweep_fingerprint_reports_how_rows_moved():
+    spec = importlib.util.spec_from_file_location(
+        "sweep_fingerprint", Path(__file__).resolve().parents[1] / "scripts" / "sweep_fingerprint.py")
+    fp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fp)
+
+    def row(closed, k=2.0):
+        values = dict.fromkeys(SWEEP_COLUMNS, "0")
+        values.update(k_re=repr(k), series_re="1.0", series_err="0", warnings="",
+                      closed_re=repr(closed), rel_diff=repr(abs(closed - 1.0)))
+        return values
+
+    diff = fp.RowDiff()
+    diff.add_cell([row(1.0), row(1.0), row(1.0)],
+                  [row(1.0), row(1.0 + 2e-12), row(math.nan)], 3)
+    diff.add_cell([row(1.0)], None, 1)
+    assert (diff.rows, diff.rows_changed) == (4, 3)
+    assert diff.changed == {"closed_re": 2, "rel_diff": 2}
+    assert diff.largest["closed"] == pytest.approx(2e-12, rel=1e-3)
+    assert diff.largest["rel_diff"] == math.inf  # from 0
+    assert diff.moves == {("pass", "nonfinite_closed"): 1, ("pass", "aborted"): 1}
+    assert diff.report()[-1] == "failure-cause moves: pass -> aborted 1, pass -> nonfinite_closed 1"
 
 
 def test_cli_missing_config_exits_2(capsys):

@@ -62,6 +62,11 @@ def test_policy_validation():
         TruncationPolicy(rel_tol=0.5)
 
 
+def test_exact_if_terminating_is_read_as_optimal():
+    assert TruncationPolicy().mode == "optimal"
+    assert TruncationPolicy(mode="exact-if-terminating") == TruncationPolicy(mode="optimal")
+
+
 # ------------------------------------------------------------ exact anchors
 
 def test_order_one_is_two_shells():
