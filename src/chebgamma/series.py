@@ -14,19 +14,28 @@ the smallest shell of a smooth envelope bound and report that scale as
 the error), which is the reading under which large-|a pi| evaluations
 agree with the closed form to near machine precision.
 
-The loop reads C_q from the shell stream of the ``chebyshev`` module
-(a direct convolution for the first 16 shells, then one two-term
+Both loops below read C_q from the shell stream of the ``chebyshev``
+module (a direct convolution for the first 16 shells, then one two-term
 recurrence driven by the argument of larger growth radius, so that a
-swap of alpha and beta keeps every bit) and steps the weight and
-z^(-q) by one factor each, so every shell costs O(1) work and a sum
-through Q shells costs O(Q).
+swap of alpha and beta keeps every bit) and step the weight and z^(-q)
+by one factor each, so every shell costs O(1) work and a sum through Q
+shells costs O(Q).
 
 There are two truncation modes.  ``optimal``, the default, sums a
 terminating k through shell k with no early stop, and stops any other k
 at the tolerance or at the first upturn of the envelope.  ``fixed`` uses
 the tolerance stop alone, for every k, so a terminating k may stop
-before shell k.  Both modes stop at ``max_shell``, and every stop rule
-except the exact sum gives up once a shell overflows.
+before shell k.  Both modes stop at ``max_shell``.
+
+Two loops do the summing.  A terminating k under ``optimal`` runs a
+plain loop over shells 0..min(k, max_shell) that reads the term, the
+weight and z^(-q) and nothing else, and checks once after the loop that
+the sum and the weights stayed finite.  It computes the envelope below
+only when the budget cuts the sum short, for the error estimate, so on
+a terminating sum ``overflow-saturation`` means the value, a term or a
+weight saturated, never the envelope alone.  Every other sum runs the
+stop-rule loop, which also steps the envelope and gives up once a shell
+overflows.
 
 The envelope used for truncation decisions is
 
@@ -156,14 +165,20 @@ def _finish(acc: complex, shells_used: int, termination: str,
 
 
 def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> SeriesResult:
-    """The one shell loop behind every truncation mode.
+    """Sum the shells at ``params`` in the plain loop or the stop-rule loop.
 
     ``multiplier(q)`` scales shell q; shells with multiplier 0 are skipped
     entirely (they are identically zero, not small), so truncation logic
-    only ever sees contributing shells.  A terminating k outside ``fixed``
-    sums through min(bound, max_shell) with no early stop.  Otherwise the
-    tolerance stop applies, and a non-terminating k outside ``fixed`` also
-    stops at the envelope upturn.
+    only ever sees contributing shells.
+
+    A terminating k outside ``fixed`` takes the plain loop over shells
+    0..min(bound, max_shell).  It reads the term, the weight and z^(-q),
+    checks once after the loop that the sum and the weights stayed
+    finite, and replays the envelope only when the budget cuts the sum
+    short, for the error estimate.  Every other sum takes the stop-rule
+    loop, which also reads the envelope and the previous shell's
+    envelope: the tolerance stop applies, and a non-terminating k outside
+    ``fixed`` also stops at the envelope upturn.
     """
     z = params.a_pi()
     if z == 0:
@@ -177,46 +192,82 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
         if bound == 0:
             raise PoleError("series weight at shell 0 is 1/k; k = 0 is a pole")
         k = complex(float(bound), 0.0)
-    rho = max(growth_radius(params.alpha), growth_radius(params.beta))
     fixed = policy.mode == "fixed"
-    exact = bound is not None and not fixed
     warnings = set()
-    if bound is None:
-        # asymptotic-regime guard
-        az = abs(z)
-        if az < 1.05 * rho or az <= rho + abs(k.real):
-            warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
     last = policy.max_shell if bound is None else min(bound, policy.max_shell)
-    rel_tol = policy.rel_tol
     shells = _shell_stream(params.alpha, params.beta)
     inv_z = 1.0 / z
     abs_inv_z = abs(inv_z)
-    # running state at shell q: z^(-q), 1/(k)_{1-q} and the envelope
-    # (q+1) rho^q |z|^-q |1/(k)_{1-q}|
-    q = 0
+    # running state at shell q: z^(-q) and 1/(k)_{1-q}
     zpow = 1.0 + 0.0j
     recip = 1.0 / k
-    env = abs(recip)
     acc = 0.0 + 0.0j
     abs_acc = 0.0
     used = 0
-    prev_env = math.inf
 
     def exhausted(q: int) -> bool:
         # past the bound the weight is 0 (nan once it has overflowed), and
         # the shells from q up to the bound may all be identically zero
         return bound is not None and not any(multiplier(j) for j in range(q, bound + 1))
 
-    # Past the budget (last <= bound), step on to the next contributing
-    # shell, whose envelope the error reports (the difference series skips
-    # even shells), unless none is left or the sum has overflowed.
-    while q <= last or not (multiplier(q) or exhausted(q) or OVERFLOW_SATURATION in warnings):
-        c = next(shells)
-        m = multiplier(q)
-        if m:
-            t = m * c * recip * zpow
-            try:
-                if not exact:
+    def envelope(env: float, q: int) -> float:
+        # the envelope (q+1) rho^q |z|^-q |1/(k)_{1-q}|, stepped from
+        # shell q to shell q + 1
+        return env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(k - q)
+
+    if bound is not None and not fixed:
+        for q in range(last + 1):
+            c = next(shells)
+            m = multiplier(q)
+            if m:
+                t = m * c * recip * zpow
+                acc += t
+                used += 1
+                try:
+                    abs_acc += abs(t)
+                except OverflowError:
+                    # a finite term whose modulus outgrows a double
+                    warnings.add(OVERFLOW_SATURATION)
+                    abs_acc = math.inf
+            recip *= k - q
+            zpow *= inv_z
+        # a non-finite sum or weight stays non-finite, so one check covers
+        # every shell
+        if not (cmath.isfinite(acc) and cmath.isfinite(recip) and cmath.isfinite(zpow)):
+            warnings.add(OVERFLOW_SATURATION)
+        q = last + 1
+        if not exhausted(q):
+            # the budget cut the sum short: replay the envelope to shell q
+            rho = max(growth_radius(params.alpha), growth_radius(params.beta))
+            env = abs(1.0 / k)
+            for j in range(q):
+                env = envelope(env, j)
+            if not math.isfinite(env):
+                warnings.add(OVERFLOW_SATURATION)
+            while not (multiplier(q) or exhausted(q) or OVERFLOW_SATURATION in warnings):
+                recip *= k - q
+                zpow *= inv_z
+                env = envelope(env, q)
+                q += 1
+                if not (cmath.isfinite(recip) and cmath.isfinite(zpow) and math.isfinite(env)):
+                    warnings.add(OVERFLOW_SATURATION)
+    else:
+        rho = max(growth_radius(params.alpha), growth_radius(params.beta))
+        if bound is None:
+            # asymptotic-regime guard
+            az = abs(z)
+            if az < 1.05 * rho or az <= rho + abs(k.real):
+                warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
+        rel_tol = policy.rel_tol
+        env = abs(recip)
+        prev_env = math.inf
+        q = 0
+        while q <= last or not (multiplier(q) or exhausted(q) or OVERFLOW_SATURATION in warnings):
+            c = next(shells)
+            m = multiplier(q)
+            if m:
+                t = m * c * recip * zpow
+                try:
                     shell_env = abs(m) * env
                     if shell_env <= rel_tol * abs(acc) and used > 0:
                         err = abs(t) + _ROUNDOFF_FACTOR * _EPS * abs_acc
@@ -229,27 +280,29 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
                         err = max(shell_env, abs(t)) + _ROUNDOFF_FACTOR * _EPS * abs_acc
                         return _finish(acc, used, "optimal-truncation", err, warnings)
                     prev_env = shell_env
-                acc += t
-                used += 1
-                abs_acc += abs(t)
-            except OverflowError:
-                # a finite shell or sum whose modulus outgrows a double
-                warnings.add(OVERFLOW_SATURATION)
-                abs_acc = math.inf
-                if not exact:
+                    acc += t
+                    used += 1
+                    abs_acc += abs(t)
+                except OverflowError:
+                    # a finite shell or sum whose modulus outgrows a double
+                    warnings.add(OVERFLOW_SATURATION)
+                    abs_acc = math.inf
                     break
-        # step to shell q + 1; one check per shell covers the sum and the
-        # weights, before the saturation break (the exact sum runs on)
-        kq = k - q
-        recip = recip * kq
-        zpow = zpow * inv_z
-        env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
-        q += 1
-        if not (cmath.isfinite(acc) and cmath.isfinite(zpow) and math.isfinite(env)
-                and cmath.isfinite(recip)):
-            warnings.add(OVERFLOW_SATURATION)
-            if not exact:
+            # step to shell q + 1 (envelope() inline); one check per shell
+            # covers the sum, the weights and the envelope
+            kq = k - q
+            recip = recip * kq
+            zpow = zpow * inv_z
+            env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
+            q += 1
+            if not (cmath.isfinite(acc) and cmath.isfinite(zpow) and math.isfinite(env)
+                    and cmath.isfinite(recip)):
+                warnings.add(OVERFLOW_SATURATION)
                 break
+    # Past the budget (last <= bound) both loops stop at the next
+    # contributing shell, whose envelope the error reports (the difference
+    # series skips even shells), unless none is left or the sum has
+    # overflowed.
     if exhausted(q):
         return _finish(acc, used, "terminated-exactly", 0.0, warnings)
     m = abs(multiplier(q))

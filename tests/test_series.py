@@ -17,6 +17,7 @@ from chebgamma import (
     TruncationPolicy,
     closed_form,
     difference_series,
+    growth_radius,
     series_sum,
     series_terminates,
     shell_coeff,
@@ -278,6 +279,11 @@ def test_error_estimate_bounds_closed_form_deviation():
       frozenset())),
     # the exact sum overflows a double: only saturation is pinned
     (series_sum, (0.3, -0.55, 200.0, 0.5), "exact-if-terminating", 512, None),
+    # the exact bound q = 9 lies past a budget that ends below an even
+    # shell: the error is read at the next odd shell, q = 9
+    (difference_series, (0.3, -0.55, 9.0, 20.0), "optimal", 7,
+     (0.017801546589250004 + 0j, 1.5750004729597518e-06, 4, "budget-exhausted",
+      frozenset())),
 ])
 def test_stop_paths_are_pinned(fn, point, mode, max_shell, expected):
     res = fn(params(*point), TruncationPolicy(mode=mode, max_shell=max_shell))
@@ -302,6 +308,67 @@ def test_shell_modulus_overflow_saturates(fn, point, mode):
     res = fn(params(*point), TruncationPolicy(mode=mode))
     assert res.termination == "terminated-exactly"
     assert "overflow-saturation" in res.warnings
+
+
+@pytest.mark.parametrize("fn, point, shells", [
+    (series_sum, (-1.0574775055348942, -2.3068855467892155 + 0.22834474603345578j,
+                  63.0, 0.0013422976091733902), 64),
+    (difference_series, (-1.7218259643459315 - 1.6509526939394976j, 0.22619957680573632,
+                         104.0, 0.2025681099954728), 52),
+])
+def test_finite_exact_sum_is_not_flagged_for_its_envelope(fn, point, shells):
+    # the envelope (q+1) rho^q |z|^-q |1/(k)_{1-q}| overflows here, but no
+    # exact sum reads it: the sum, every term and every weight are finite
+    with collect() as flags:
+        res = fn(params(*point))
+    assert res.termination == "terminated-exactly" and res.shells_used == shells
+    assert math.isfinite(res.value.real) and math.isfinite(res.value.imag)
+    assert 1e303 < abs(res.value) < 1e307
+    assert "overflow-saturation" not in res.warnings
+    assert "overflow-saturation" not in flags
+
+
+def _bounded_argument(rng, k):
+    # real, inside or (where the oracle's products stay finite) outside [-1, 1]
+    if k <= 120 and rng.random() < 0.5:
+        return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.0)
+    return rng.uniform(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("fn", [series_sum, difference_series])
+def test_terminating_sum_at_every_budget_matches_enumeration(fn):
+    # The plain loop of a terminating k, from k = 1 to 170, with budgets
+    # two below, one below, at and above the bound.  The enumeration
+    # oracle is checked against an upper bound of the sum of the terms'
+    # moduli (|T_n(x)| <= T_n(max(1, |x|)) and every weight is positive),
+    # so shells that cancel do not loosen the check.
+    rng = random.Random(38)
+    shells_of = (lambda q: True) if fn is series_sum else (lambda q: q % 2 == 1)
+    for lo, hi in ((1, 5), (6, 16), (17, 40), (41, 80), (81, 120), (121, 170)):
+        k = rng.randint(lo, hi)
+        alpha, beta = _bounded_argument(rng, k), _bounded_argument(rng, k)
+        rho = max(growth_radius(alpha), growth_radius(beta))
+        # z^k stays below the double range for the oracle
+        z = min(rng.uniform(0.3, 3.0) * k * rho, 10.0 ** (290.0 / k))
+        size = 2.0 * abs(double_sum_direct(max(1.0, abs(alpha)), max(1.0, abs(beta)),
+                                           k, z, k))
+        for budget in (k - 2, k - 1, k, k + 1):
+            if budget < 4:
+                continue
+            policy = TruncationPolicy(max_shell=budget)
+            res = fn(params(alpha, beta, float(k), z), policy)
+            kept = min(budget, k)
+            if fn is series_sum:
+                ref = (finite_series_exact(alpha, beta, k, z) if kept == k
+                       else double_sum_direct(alpha, beta, k, z, kept))
+            else:
+                ref = (double_sum_direct(-alpha, -beta, k, z, kept)
+                       - double_sum_direct(alpha, beta, k, z, kept))
+            left_out = any(shells_of(q) for q in range(kept + 1, k + 1))
+            assert res.termination == ("budget-exhausted" if left_out else "terminated-exactly")
+            assert res.shells_used == sum(1 for q in range(kept + 1) if shells_of(q))
+            assert abs(res.value - ref) <= 1e-13 * size
+            assert fn(params(beta, alpha, float(k), z), policy) == res
 
 
 def test_budget_that_only_leaves_out_zero_shells_terminates_exactly():
