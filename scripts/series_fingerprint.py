@@ -14,8 +14,10 @@ draw the same result to the bit.
 
 ``--dump FILE`` keeps the per-draw lines.  ``--against FILE`` reads such
 a dump, made by another checkout with the same ``--seed`` and
-``--draws``, and reports which draws moved and in which fields, with
-each moved draw's point and its old and new fields.
+``--draws``, and reports which draws moved and in which fields, how many
+moved draws have a value or error estimate that moved from or to a
+finite reading (0 when only non-finite readings moved), and each moved
+draw's point and its old and new fields.
 
 Usage:
     python scripts/series_fingerprint.py
@@ -124,6 +126,14 @@ def lines(seed: int, draws: int):
                         + [result[f] for f in RESULT_FIELDS])
 
 
+def _finite(cell: str) -> bool:
+    # a value or error cell; "-" (the draw raised) reads as not finite
+    try:
+        return cmath.isfinite(complex(cell))
+    except ValueError:
+        return False
+
+
 def _parse(line: str) -> dict:
     cells = line.rstrip("\n").split("\t")
     return dict(zip(("index",) + POINT_FIELDS + RESULT_FIELDS, cells))
@@ -144,7 +154,11 @@ def compare(old_lines, new_lines) -> list:
         if changed:
             fields.update(changed)
             moved.append((new, changed, old))
-    report = [f"{len(moved)} of {len(new_lines)} draws moved"]
+    finite = sum(1 for new, changed, old in moved
+                 if any(_finite(side[f]) for side in (old, new)
+                        for f in ("value", "error") if f in changed))
+    report = [f"{len(moved)} of {len(new_lines)} draws moved",
+              f"{finite} of them moved a finite value or error"]
     if fields:
         report.append("draws moved per field: " + ", ".join(
             f"{f} {n}" for f, n in sorted(fields.items())))

@@ -7,7 +7,11 @@ T_{q-n}(beta).  One stream yields them in order at O(1) work per shell
 past a short direct start (``_shell_stream``).  Everything here accepts
 arbitrary complex argument: the three-term recurrence is forward-stable
 for the growing branch, which is exactly what arguments outside [-1, 1]
-need.
+need.  The stream starts from float ones and zeros, so real arguments
+given as floats run it in float arithmetic, bit for bit the real part of
+the complex run wherever a shell is finite, and a shell that overflows
+reads ``inf+0j`` or ``nan+0j`` where complex arithmetic gave a nan
+imaginary part; the public functions still return ``complex``.
 """
 
 from __future__ import annotations
@@ -81,14 +85,14 @@ def _shell_stream(alpha: complex, beta: complex):
     on C alone, it does not lose accuracy where the roots of the two
     factors nearly coincide.
     """
-    ta, tb = [1.0 + 0.0j, alpha], [1.0 + 0.0j, beta]
+    ta, tb = [1.0, alpha], [1.0, beta]
     two_a, two_b = 2.0 * alpha, 2.0 * beta
-    c0 = c1 = 0.0 + 0.0j
+    c0 = c1 = 0.0
     for q in range(_DIRECT_SHELLS):
         if q > 1:
             ta.append(two_a * ta[-1] - ta[-2])
             tb.append(two_b * tb[-1] - tb[-2])
-        total = 0.0 + 0.0j
+        total = 0.0
         for n in range((q + 1) // 2):
             total += ta[n] * tb[q - n] + ta[q - n] * tb[n]
         if q % 2 == 0:
@@ -111,7 +115,7 @@ def shell_coeff(q: int, alpha, beta) -> ShellCoefficient:
     """Convolution coefficient for shell q at (alpha, beta), read off the stream."""
     q = _as_index(q, "q")
     shells = _shell_stream(complex(alpha), complex(beta))
-    return ShellCoefficient(q=q, value=next(islice(shells, q, None)))
+    return ShellCoefficient(q=q, value=complex(next(islice(shells, q, None))))
 
 
 def shell_values(q_max: int, alpha, beta) -> list:
@@ -120,7 +124,8 @@ def shell_values(q_max: int, alpha, beta) -> list:
     O(q_max) total; coefficients are never memoized across calls.
     """
     q_max = _as_index(q_max, "q_max")
-    return list(islice(_shell_stream(complex(alpha), complex(beta)), q_max + 1))
+    # shell 0 is the float 1.0 of the stream's start
+    return list(map(complex, islice(_shell_stream(complex(alpha), complex(beta)), q_max + 1)))
 
 
 def growth_radius(x) -> float:

@@ -1,9 +1,14 @@
 """Scalar special-function kernels on the complex plane.
 
 Everything here works on plain ``complex`` values (finite components
-required).  Branch convention throughout: principal branch, with the
-negative real axis assigned arg z = +pi (upper side), so results are
-reproducible for arguments that land exactly on the cut.
+required).  ``upper_gamma`` narrows a real order and a real argument to
+``float`` on entry, so its regimes run the same code in float
+arithmetic, which CPython runs faster than complex arithmetic; every
+finite result keeps its bits and is still returned as ``complex``, and a
+non-finite one may read ``nan+0j`` or ``inf+0j`` where complex
+arithmetic gave ``nan+nanj``.  Branch convention throughout: principal
+branch, with the negative real axis assigned arg z = +pi (upper side),
+so results are reproducible for arguments that land exactly on the cut.
 
 Regime map for the incomplete gamma function Gamma(s, z), one decision
 for every order s:
@@ -118,6 +123,14 @@ def _upper_side(z: complex) -> complex:
     if z.imag == 0.0:
         return complex(z.real, 0.0)
     return z
+
+
+def _narrow(x):
+    # A real value as a float, so that the arithmetic on it runs on floats
+    # (bit for bit the real part of the complex arithmetic wherever the
+    # result is finite); any other value as it is.  A float reads as on the
+    # upper side of the cut, as it does under _upper_side.
+    return x.real if x.imag == 0.0 else x
 
 
 def clog(z: complex) -> complex:
@@ -303,9 +316,9 @@ def _kummer_sum(s: complex, z: complex, skip: int = -1):
     # integer-order caller needs.
     w = -z
     abs_w = abs(w)
-    p = 1.0 + 0.0j
+    p = 1.0
     at_skip = p
-    total = 0.0j if skip == 0 else 1.0 / s
+    total = 0.0 if skip == 0 else 1.0 / s
     budget = _ITER_BUDGET + int(2 * abs_w) + skip
     for n in range(1, budget):
         p *= w / n
@@ -349,7 +362,7 @@ def _upper_series_nonpos_int(m: int, z: complex) -> complex:
     # DLMF 8.4.15, the s -> -m limit of Kummer's series:
     # Gamma(-m, z) = z^-m [p (psi(m+1) - log z) - sum_{n != m} (-z)^n / (n! (n-m))]
     # with p = (-z)^m / m!, so that z^-m p = (-1)^m / m! never needs m!.
-    s = complex(-m)
+    s = float(-m)
     total, p = _kummer_sum(s, z, m)
     psi = math.fsum(1.0 / j for j in range(1, m + 1)) - _EULER_GAMMA
     return _scaled(p * (psi - clog(z)) - total, s * clog(z))
@@ -365,7 +378,7 @@ def _upper_asymptotic(s: complex, z: complex):
     # Gamma(s,z) ~ z^(s-1) e^-z sum_n (s-1)(s-2)...(s-n) / z^n, DLMF 8.11.2.
     # Returns None when a term grows or the budget runs out before the
     # terms reach round-off: the caller then takes the series pocket.
-    term = 1.0 + 0.0j
+    term = 1.0
     total = term
     size = 1.0
     for n in range(1, _ASYMPTOTIC_BUDGET):
@@ -416,8 +429,8 @@ def upper_gamma(s, z) -> complex:
     approached from above (arg z = +pi).  See the module docstring for
     the regime selection.
     """
-    s = _as_complex(s, "s")
-    z = _upper_side(_as_complex(z, "z"))
+    s = _narrow(_as_complex(s, "s"))
+    z = _narrow(_as_complex(z, "z"))
     if z == 0:
         if s.real > 0:
             return gamma_fn(s)

@@ -32,10 +32,17 @@ plain loop over shells 0..min(k, max_shell) that reads the term, the
 weight and z^(-q) and nothing else, and checks once after the loop that
 the sum and the weights stayed finite.  It computes the envelope below
 only when the budget cuts the sum short, for the error estimate, so on
-a terminating sum ``overflow-saturation`` means the value, a term or a
+an exact sum ``overflow-saturation`` means the value, a term or a
 weight saturated, never the envelope alone.  Every other sum runs the
 stop-rule loop, which also steps the envelope and gives up once a shell
-overflows.
+overflows; at a terminating k under ``fixed`` an overflowed envelope
+only ends the tolerance stop, and the sum runs on to its bound.
+
+Real a, k, alpha and beta run both loops and the shell stream in float
+arithmetic, through the same code as complex ones: every finite value
+keeps its bits, and results are returned as ``complex``.  A non-finite
+real sum reads ``nan+0j`` or ``inf+0j`` where complex arithmetic gave
+``nan+nanj`` or ``inf+nanj``.
 
 The envelope used for truncation decisions is
 
@@ -52,10 +59,12 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from itertools import cycle, islice
+from operator import mul
 
 from ._flags import NOT_IN_ASYMPTOTIC_REGIME, OVERFLOW_SATURATION, flag
 from .chebyshev import _shell_stream, growth_radius
-from .complexfn import _nearest_nonpos_int
+from .complexfn import _narrow, _nearest_nonpos_int
 from .errors import ConfigError, KernelDomainError, PoleError
 
 __all__ = [
@@ -150,13 +159,13 @@ def series_terminates(k):
     return _nearest_nonpos_int(-_scalar(k, "k"))
 
 
-def _finish(acc: complex, shells_used: int, termination: str,
+def _finish(acc, shells_used: int, termination: str,
             error_estimate: float, warnings: set) -> SeriesResult:
     # the loop's per-shell check has already flagged a non-finite sum
     for name in warnings:
         flag(name)
     return SeriesResult(
-        value=acc,
+        value=complex(acc),
         error_estimate=error_estimate,
         shells_used=shells_used,
         termination=termination,
@@ -164,26 +173,39 @@ def _finish(acc: complex, shells_used: int, termination: str,
     )
 
 
-def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> SeriesResult:
+# Shell weights as data, indexed by the parity of q.  The series weighs
+# every shell by 1; the difference series' (-1 + (-1)^(n+p)) collapses to
+# 0 on even shells and -2 on odd shells.
+_UNIT_WEIGHTS = (1.0, 1.0)
+_DIFFERENCE_WEIGHTS = (0.0, -2.0)
+
+
+def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) -> SeriesResult:
     """Sum the shells at ``params`` in the plain loop or the stop-rule loop.
 
-    ``multiplier(q)`` scales shell q; shells with multiplier 0 are skipped
-    entirely (they are identically zero, not small), so truncation logic
+    ``weights[q % 2]`` scales shell q; shells of weight 0 are identically
+    zero, not small, so they count as no shell used and truncation logic
     only ever sees contributing shells.
 
     A terminating k outside ``fixed`` takes the plain loop over shells
-    0..min(bound, max_shell).  It reads the term, the weight and z^(-q),
-    checks once after the loop that the sum and the weights stayed
-    finite, and replays the envelope only when the budget cuts the sum
-    short, for the error estimate.  Every other sum takes the stop-rule
-    loop, which also reads the envelope and the previous shell's
-    envelope: the tolerance stop applies, and a non-terminating k outside
-    ``fixed`` also stops at the envelope upturn.
+    0..min(bound, max_shell).  It reads the weighted shell (the shell
+    itself under unit weights), the weight and z^(-q), checks once after
+    the loop that the sum and the weights stayed finite, and replays the
+    envelope only when the budget cuts the sum short, for the error
+    estimate.  Every other sum takes the stop-rule loop, which also reads
+    the envelope and the previous shell's envelope: the tolerance stop
+    applies, and a non-terminating k outside ``fixed`` also stops at the
+    envelope upturn.  Once the envelope overflows, a non-terminating sum
+    ends there, saturated; a terminating one only loses its tolerance
+    stop and runs on to its bound.
+
+    Real z, k, alpha and beta are narrowed to floats first, so a real sum
+    runs both loops in float arithmetic.
     """
-    z = params.a_pi()
+    z = _narrow(params.a_pi())
     if z == 0:
         raise KernelDomainError("a*pi must be nonzero")
-    k = params.k
+    k = _narrow(params.k)
     bound = series_terminates(k)
     if bound is not None:
         # Snap to the exact integer: the raw offset (< 1e-12) would
@@ -191,24 +213,25 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
         # structural bound.
         if bound == 0:
             raise PoleError("series weight at shell 0 is 1/k; k = 0 is a pole")
-        k = complex(float(bound), 0.0)
+        k = float(bound)
+    alpha, beta = _narrow(params.alpha), _narrow(params.beta)
     fixed = policy.mode == "fixed"
     warnings = set()
     last = policy.max_shell if bound is None else min(bound, policy.max_shell)
-    shells = _shell_stream(params.alpha, params.beta)
+    shells = _shell_stream(alpha, beta)
     inv_z = 1.0 / z
     abs_inv_z = abs(inv_z)
     # running state at shell q: z^(-q) and 1/(k)_{1-q}
-    zpow = 1.0 + 0.0j
+    zpow = 1.0
     recip = 1.0 / k
-    acc = 0.0 + 0.0j
+    acc = 0.0
     abs_acc = 0.0
     used = 0
 
     def exhausted(q: int) -> bool:
         # past the bound the weight is 0 (nan once it has overflowed), and
         # the shells from q up to the bound may all be identically zero
-        return bound is not None and not any(multiplier(j) for j in range(q, bound + 1))
+        return bound is not None and not any(weights[j % 2] for j in range(q, bound + 1))
 
     def envelope(env: float, q: int) -> float:
         # the envelope (q+1) rho^q |z|^-q |1/(k)_{1-q}|, stepped from
@@ -216,21 +239,20 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
         return env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(k - q)
 
     if bound is not None and not fixed:
-        for q in range(last + 1):
-            c = next(shells)
-            m = multiplier(q)
-            if m:
-                t = m * c * recip * zpow
-                acc += t
-                used += 1
-                try:
-                    abs_acc += abs(t)
-                except OverflowError:
-                    # a finite term whose modulus outgrows a double
-                    warnings.add(OVERFLOW_SATURATION)
-                    abs_acc = math.inf
+        # a zero-weight shell adds a zero term, and counts as no shell used
+        terms = shells if weights is _UNIT_WEIGHTS else map(mul, cycle(weights), shells)
+        for q, t in zip(range(last + 1), terms):
+            t = t * recip * zpow
+            acc += t
+            try:
+                abs_acc += abs(t)
+            except OverflowError:
+                # a finite term whose modulus outgrows a double
+                warnings.add(OVERFLOW_SATURATION)
+                abs_acc = math.inf
             recip *= k - q
             zpow *= inv_z
+        used = sum(map(bool, islice(cycle(weights), last + 1)))
         # a non-finite sum or weight stays non-finite, so one check covers
         # every shell
         if not (cmath.isfinite(acc) and cmath.isfinite(recip) and cmath.isfinite(zpow)):
@@ -238,13 +260,13 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
         q = last + 1
         if not exhausted(q):
             # the budget cut the sum short: replay the envelope to shell q
-            rho = max(growth_radius(params.alpha), growth_radius(params.beta))
+            rho = max(growth_radius(alpha), growth_radius(beta))
             env = abs(1.0 / k)
             for j in range(q):
                 env = envelope(env, j)
             if not math.isfinite(env):
                 warnings.add(OVERFLOW_SATURATION)
-            while not (multiplier(q) or exhausted(q) or OVERFLOW_SATURATION in warnings):
+            while not (weights[q % 2] or exhausted(q) or OVERFLOW_SATURATION in warnings):
                 recip *= k - q
                 zpow *= inv_z
                 env = envelope(env, q)
@@ -252,7 +274,7 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
                 if not (cmath.isfinite(recip) and cmath.isfinite(zpow) and math.isfinite(env)):
                     warnings.add(OVERFLOW_SATURATION)
     else:
-        rho = max(growth_radius(params.alpha), growth_radius(params.beta))
+        rho = max(growth_radius(alpha), growth_radius(beta))
         if bound is None:
             # asymptotic-regime guard
             az = abs(z)
@@ -262,9 +284,9 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
         env = abs(recip)
         prev_env = math.inf
         q = 0
-        while q <= last or not (multiplier(q) or exhausted(q) or OVERFLOW_SATURATION in warnings):
+        while q <= last or not (weights[q % 2] or exhausted(q) or OVERFLOW_SATURATION in warnings):
             c = next(shells)
-            m = multiplier(q)
+            m = weights[q % 2]
             if m:
                 t = m * c * recip * zpow
                 try:
@@ -289,14 +311,15 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
                     abs_acc = math.inf
                     break
             # step to shell q + 1 (envelope() inline); one check per shell
-            # covers the sum, the weights and the envelope
+            # covers the sum, the weights and the envelope, but an infinite
+            # envelope only stops the tolerance test of a terminating sum
             kq = k - q
             recip = recip * kq
             zpow = zpow * inv_z
             env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
             q += 1
-            if not (cmath.isfinite(acc) and cmath.isfinite(zpow) and math.isfinite(env)
-                    and cmath.isfinite(recip)):
+            if not (cmath.isfinite(acc) and cmath.isfinite(zpow)
+                    and (math.isfinite(env) or bound is not None) and cmath.isfinite(recip)):
                 warnings.add(OVERFLOW_SATURATION)
                 break
     # Past the budget (last <= bound) both loops stop at the next
@@ -305,23 +328,17 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, multiplier) -> S
     # overflowed.
     if exhausted(q):
         return _finish(acc, used, "terminated-exactly", 0.0, warnings)
-    m = abs(multiplier(q))
+    if not math.isfinite(env):
+        # the error estimate of a sum cut short has saturated
+        warnings.add(OVERFLOW_SATURATION)
+    m = abs(weights[q % 2])
     err = (m * env if m else 0.0) + _ROUNDOFF_FACTOR * _EPS * abs_acc
     return _finish(acc, used, "budget-exhausted", err, warnings)
 
 
-def _unit_multiplier(q: int) -> float:
-    return 1.0
-
-
-def _difference_multiplier(q: int) -> float:
-    # (-1 + (-1)^(n+p)) collapses to 0 on even shells, -2 on odd shells
-    return -2.0 if q % 2 else 0.0
-
-
 def series_sum(params: SeriesParams, policy: TruncationPolicy = TruncationPolicy()) -> SeriesResult:
     """Sum the double Chebyshev series at ``params`` under ``policy``."""
-    return _sum_shells(params, policy, _unit_multiplier)
+    return _sum_shells(params, policy, _UNIT_WEIGHTS)
 
 
 def difference_series(params: SeriesParams, policy: TruncationPolicy = TruncationPolicy()) -> SeriesResult:
@@ -330,4 +347,4 @@ def difference_series(params: SeriesParams, policy: TruncationPolicy = Truncatio
     Computed directly from the parity of the shell coefficients rather
     than by two subtractions, so even shells drop out exactly.
     """
-    return _sum_shells(params, policy, _difference_multiplier)
+    return _sum_shells(params, policy, _DIFFERENCE_WEIGHTS)

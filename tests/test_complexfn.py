@@ -19,6 +19,7 @@ from chebgamma import (
     KernelDomainError,
     PoleError,
     analytic_continuation_gamma,
+    complexfn,
     erf_complex,
     erfc_complex,
     exp_integral_e,
@@ -368,3 +369,59 @@ def test_pochhammer_recip_inverts_log_gamma_ratio(kr, ki, q):
     except PoleError:
         assume(False)
     assert abs(got * poch - 1.0) <= 1e-10
+
+
+# --------------------------------------------------------- real arithmetic
+
+def _bits(x):
+    # the real part's sign and bits, and the imaginary part's value (a
+    # float reads as imaginary 0)
+    x = complex(x)
+    return (x.real.hex(), math.copysign(1.0, x.real), x.imag)
+
+
+def _regime_draws(rng):
+    # (regime, real arguments) over each regime's ground, w on the
+    # negative real axis included
+    s = lambda lo, hi: rng.uniform(lo, hi)
+    for _ in range(40):
+        yield complexfn._upper_cf, (s(-5.0, 60.0), s(20.0, 200.0))
+        yield complexfn._upper_cf, (s(-40.0, -1.0), s(2.0, 200.0))
+        yield complexfn._lower_series_direct, (s(0.5, 60.0), s(0.01, 40.0))
+        yield complexfn._kummer_sum, (s(-30.0, 60.0), -s(0.01, 300.0))
+        yield complexfn._kummer_sum, (s(0.5, 60.0), s(0.01, 5.0))
+        yield complexfn._upper_asymptotic, (s(-20.0, 20.0), -s(80.0, 500.0))
+        yield complexfn._upper_series_nonpos_int, (rng.randint(0, 40), -s(0.01, 300.0))
+        yield complexfn._upper_series_nonpos_int, (rng.randint(0, 40), s(0.01, 3.0))
+
+
+def test_regimes_give_real_arguments_the_bits_of_complex_ones():
+    # upper_gamma narrows real s and w to floats; each regime must return
+    # what it returns on complex(x, 0.0) operands, bit for bit
+    rng = random.Random(41)
+    seen = set()
+    for regime, (s, w) in _regime_draws(rng):
+        real = regime(s, w)
+        if regime is complexfn._upper_series_nonpos_int:
+            wide = regime(s, complex(w, 0.0))
+        else:
+            wide = regime(complex(s, 0.0), complex(w, 0.0))
+        if regime is complexfn._kummer_sum:
+            real, wide = real[0], wide[0]
+        if real is None or wide is None:
+            assert real is wide
+            continue
+        assert cmath.isfinite(wide), (regime.__name__, s, w)
+        assert _bits(real) == _bits(wide), (regime.__name__, s, w)
+        seen.add(regime)
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("s, w", [
+    (2.5, 0.75), (2.5, 40.0), (-3.5, -50.0), (-2.0, -500.0), (-2.0, 5.0), (0.5, -20.0),
+])
+def test_kernels_return_complex_at_real_arguments(s, w):
+    assert type(upper_gamma(s, w)) is complex
+    assert type(exp_integral_e(-s, w)) is complex
+    if s != -2.0:  # a pole of lower_gamma
+        assert type(lower_gamma(s, w)) is complex

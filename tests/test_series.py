@@ -7,6 +7,7 @@ hand.
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -24,7 +25,7 @@ from chebgamma import (
     shell_values,
 )
 from chebgamma._flags import collect
-from chebgamma.chebyshev import _DIRECT_SHELLS
+from chebgamma.chebyshev import _DIRECT_SHELLS, _shell_stream
 from oracles import double_sum_direct, finite_series_exact
 
 E4 = math.exp(4.0)
@@ -393,3 +394,54 @@ def test_budget_short_of_the_bound_takes_no_step_past_it():
     assert math.isfinite(res.value.real) and res.error_estimate == 0.0
     assert "overflow-saturation" not in res.warnings
     assert "overflow-saturation" not in flags
+
+
+def test_fixed_mode_exact_sum_is_not_flagged_for_its_envelope():
+    # under fixed the envelope overflows before shell 66; at a terminating
+    # k that ends the tolerance stop, not the sum, which is finite and exact
+    point = params(1.7247901146244444, 0.8231063941052401, 66.0, 0.0018228207122233694)
+    with collect() as flags:
+        res = series_sum(point, TruncationPolicy(mode="fixed"))
+    assert (res.termination, res.shells_used, res.error_estimate) == ("terminated-exactly", 67, 0.0)
+    assert res.value == series_sum(point).value
+    assert 1e304 < abs(res.value) < 1e305
+    assert "overflow-saturation" not in res.warnings
+    assert "overflow-saturation" not in flags
+
+
+# ---------------------------------------------------------- real arithmetic
+
+def _bits(x):
+    # the real part's sign and bits, and the imaginary part's value (a
+    # float reads as imaginary 0)
+    x = complex(x)
+    return (x.real.hex(), math.copysign(1.0, x.real), x.imag)
+
+
+def test_shell_stream_gives_real_arguments_the_bits_of_complex_ones():
+    # the series narrows real alpha and beta to floats: 200 shells of the
+    # float stream must be the complex stream's, bit for bit
+    rng = random.Random(39)
+    for _ in range(30):
+        alpha, beta = (rng.choice((rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0)))
+                       for _ in range(2))
+        real = list(islice(_shell_stream(alpha, beta), 200))
+        wide = list(islice(_shell_stream(complex(alpha, 0.0), complex(beta, 0.0)), 200))
+        assert all(type(c) is float for c in real)
+        assert [_bits(c) for c in real] == [_bits(c) for c in wide]
+
+
+def test_real_sums_return_complex():
+    # the sums and the shells run on floats at real inputs, but every
+    # public value is complex
+    rng = random.Random(40)
+    for _ in range(30):
+        k = rng.choice((float(rng.randint(1, 150)), rng.uniform(-5.0, 150.0)))
+        alpha, beta = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        z = rng.uniform(1.0, 3.0) * max(abs(k), 4.0)
+        mode = rng.choice(("optimal", "fixed"))
+        for fn in (series_sum, difference_series):
+            res = fn(params(alpha, beta, k, z), TruncationPolicy(mode=mode))
+            assert type(res.value) is complex
+    for value in (shell_coeff(0, 0.3, -0.5).value, *shell_values(3, 0.3, -0.5)):
+        assert type(value) is complex
