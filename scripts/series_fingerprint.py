@@ -17,7 +17,8 @@ a dump, made by another checkout with the same ``--seed`` and
 ``--draws``, and reports which draws moved and in which fields, how many
 moved draws have a value or error estimate that moved from or to a
 finite reading (0 when only non-finite readings moved), and each moved
-draw's point and its old and new fields.
+draw's point and its old and new fields.  It exits with status 1 when any
+draw moved and 0 when none did.
 
 Usage:
     python scripts/series_fingerprint.py
@@ -139,8 +140,11 @@ def _parse(line: str) -> dict:
     return dict(zip(("index",) + POINT_FIELDS + RESULT_FIELDS, cells))
 
 
-def compare(old_lines, new_lines) -> list:
-    """Report lines on how the draws moved from ``old_lines`` to ``new_lines``."""
+def compare(old_lines, new_lines) -> tuple:
+    """How the draws moved from ``old_lines`` to ``new_lines``.
+
+    Returns the number of draws that moved and the report lines.
+    """
     if len(old_lines) != len(new_lines):
         raise ValueError(f"draw counts differ: {len(old_lines)} against {len(new_lines)}")
     fields = Counter()
@@ -168,7 +172,7 @@ def compare(old_lines, new_lines) -> list:
         report.append(f"  now: value={new['value']} termination={new['termination']}")
         for f in changed:
             report.append(f"  {f}: {old[f]} -> {new[f]}")
-    return report
+    return len(moved), report
 
 
 def main(argv=None) -> int:
@@ -192,11 +196,12 @@ def main(argv=None) -> int:
     if args.against is not None:
         old = args.against.read_text().splitlines()
         try:
-            report = compare(old, rows)
+            moved, report = compare(old, rows)
         except ValueError as exc:
             parser.error(str(exc))
         for line in report:
             print(f"  {line}")
+        return 1 if moved else 0
     return 0
 
 

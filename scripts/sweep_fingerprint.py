@@ -18,7 +18,8 @@ another checkout, and reports per workload and seed how the rows moved:
 how many rows changed in each column, the largest relative change of
 each value between finite readings (a complex value is one value), and
 every move of a point between the benchmark's failure causes, judged by
-``workloads.judge_row``.
+``workloads.judge_row``.  It then exits with status 1 when any row moved
+and 0 when none did.
 
 Usage:
     python scripts/sweep_fingerprint.py
@@ -186,14 +187,16 @@ def main(argv=None) -> int:
                    for seed in seeds if not _cell_dir(args.against, name, seed).is_dir()]
         if missing:
             parser.error(f"no dump at {', '.join(missing)}")
+    moved = 0
     for name in names:
         for seed in seeds:
             digest, diff = fingerprint(name, seed, args.dump, args.against)
             print(f"{name} seed {seed}: {digest}")
             if diff is not None:
+                moved += diff.rows_changed
                 for line in diff.report():
                     print(f"  {line}")
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

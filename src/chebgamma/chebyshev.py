@@ -135,8 +135,12 @@ def growth_radius(x) -> float:
     |a pi| to decide whether shells can decay at all.
     """
     x = complex(x)
-    w = x + csqrt(x * x - 1.0)
-    r = abs(w)
-    if r == 0.0:  # x*x == 1 rounds the root to 0 only if x == 0; guard anyway
-        return 1.0
+    s = csqrt(x * x - 1.0)
+    r, d = abs(x + s), abs(x - s)
+    if d > 4.0 * r:
+        # x + s is the small root (the roots' product is 1, so r < 1/2
+        # unless r is a rounding residue), formed by cancellation: it
+        # rounds to 0 for real x <= -1e8.  x - s is the large root, a sum
+        # of two terms of like sign.
+        return d
     return max(r, 1.0 / r)

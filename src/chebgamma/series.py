@@ -30,19 +30,21 @@ before shell k.  Both modes stop at ``max_shell``.
 Two loops do the summing.  A terminating k under ``optimal`` runs a
 plain loop over shells 0..min(k, max_shell) that reads the term, the
 weight and z^(-q) and nothing else, and checks once after the loop that
-the sum and the weights stayed finite.  It computes the envelope below
-only when the budget cuts the sum short, for the error estimate, so on
-an exact sum ``overflow-saturation`` means the value, a term or a
-weight saturated, never the envelope alone.  Every other sum runs the
-stop-rule loop, which also steps the envelope and gives up once a shell
-overflows; at a terminating k under ``fixed`` an overflowed envelope
-only ends the tolerance stop, and the sum runs on to its bound.
+the sum and the weights stayed finite, so on an exact sum
+``overflow-saturation`` means the value, a term or a weight saturated,
+never the envelope.  Only when the budget cuts that sum short does it
+replay the envelope below to the next shell, for the error estimate.
+Every other sum runs the stop-rule loop, which also steps the envelope
+and gives up once a shell overflows; at a terminating k under ``fixed``
+an overflowed envelope only ends the tolerance stop, and the sum runs on
+to its bound.  Past the budget both sums take the stop-rule loop's walk
+over zero-weight shells to the next contributing shell, whose envelope
+the error reports.
 
 Real a, k, alpha and beta run both loops and the shell stream in float
 arithmetic, through the same code as complex ones: every finite value
-keeps its bits, and results are returned as ``complex``.  A non-finite
-real sum reads ``nan+0j`` or ``inf+0j`` where complex arithmetic gave
-``nan+nanj`` or ``inf+nanj``.
+keeps its bits, results are returned as ``complex``, and a non-finite
+real sum reads ``nan+0j`` or ``inf+0j``.
 
 The envelope used for truncation decisions is
 
@@ -181,7 +183,7 @@ _DIFFERENCE_WEIGHTS = (0.0, -2.0)
 
 
 def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) -> SeriesResult:
-    """Sum the shells at ``params`` in the plain loop or the stop-rule loop.
+    """Sum the shells at ``params``: the plain loop, or the stop-rule loop.
 
     ``weights[q % 2]`` scales shell q; shells of weight 0 are identically
     zero, not small, so they count as no shell used and truncation logic
@@ -189,15 +191,21 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
 
     A terminating k outside ``fixed`` takes the plain loop over shells
     0..min(bound, max_shell).  It reads the weighted shell (the shell
-    itself under unit weights), the weight and z^(-q), checks once after
-    the loop that the sum and the weights stayed finite, and replays the
-    envelope only when the budget cuts the sum short, for the error
-    estimate.  Every other sum takes the stop-rule loop, which also reads
-    the envelope and the previous shell's envelope: the tolerance stop
-    applies, and a non-terminating k outside ``fixed`` also stops at the
-    envelope upturn.  Once the envelope overflows, a non-terminating sum
-    ends there, saturated; a terminating one only loses its tolerance
-    stop and runs on to its bound.
+    itself under unit weights), the weight and z^(-q), and checks once
+    after the loop that the sum and the weights stayed finite.  Only when
+    the budget cuts the sum short does it compute the growth radius and
+    replay the envelope to the next shell, for the error estimate.
+
+    Every other sum takes the stop-rule loop, which also steps the
+    envelope and compares each shell's with the previous one: the
+    tolerance stop applies, and a non-terminating k outside ``fixed``
+    also stops at the envelope upturn.  Once the envelope overflows, a
+    non-terminating sum ends there, saturated; a terminating one only
+    loses its tolerance stop and runs on to its bound.
+
+    Past the budget both sums share the stop-rule loop's walk: it steps
+    over zero-weight shells to the next contributing one, whose envelope
+    the error reports, unless none is left or the sum has overflowed.
 
     Real z, k, alpha and beta are narrowed to floats first, so a real sum
     runs both loops in float arithmetic.
@@ -218,26 +226,21 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     fixed = policy.mode == "fixed"
     warnings = set()
     last = policy.max_shell if bound is None else min(bound, policy.max_shell)
+    # the last shell of non-zero weight, so a sum that passes it is exact
+    # (past the bound the weight is 0, nan once it has overflowed)
+    top = math.inf if bound is None else bound if weights[bound % 2] else bound - 1
     shells = _shell_stream(alpha, beta)
     inv_z = 1.0 / z
     abs_inv_z = abs(inv_z)
-    # running state at shell q: z^(-q) and 1/(k)_{1-q}
+    # running state at shell q: z^(-q), 1/(k)_{1-q} and the envelope
+    # (q+1) rho^q |z|^-q |1/(k)_{1-q}|
     zpow = 1.0
     recip = 1.0 / k
+    env = abs(recip)
     acc = 0.0
     abs_acc = 0.0
     used = 0
-
-    def exhausted(q: int) -> bool:
-        # past the bound the weight is 0 (nan once it has overflowed), and
-        # the shells from q up to the bound may all be identically zero
-        return bound is not None and not any(weights[j % 2] for j in range(q, bound + 1))
-
-    def envelope(env: float, q: int) -> float:
-        # the envelope (q+1) rho^q |z|^-q |1/(k)_{1-q}|, stepped from
-        # shell q to shell q + 1
-        return env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(k - q)
-
+    q = 0
     if bound is not None and not fixed:
         # a zero-weight shell adds a zero term, and counts as no shell used
         terms = shells if weights is _UNIT_WEIGHTS else map(mul, cycle(weights), shells)
@@ -258,21 +261,12 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
         if not (cmath.isfinite(acc) and cmath.isfinite(recip) and cmath.isfinite(zpow)):
             warnings.add(OVERFLOW_SATURATION)
         q = last + 1
-        if not exhausted(q):
-            # the budget cut the sum short: replay the envelope to shell q
+        if q <= top:
+            # the budget cut the sum short: replay the envelope to shell q,
+            # then walk on in the stop-rule loop
             rho = max(growth_radius(alpha), growth_radius(beta))
-            env = abs(1.0 / k)
             for j in range(q):
-                env = envelope(env, j)
-            if not math.isfinite(env):
-                warnings.add(OVERFLOW_SATURATION)
-            while not (weights[q % 2] or exhausted(q) or OVERFLOW_SATURATION in warnings):
-                recip *= k - q
-                zpow *= inv_z
-                env = envelope(env, q)
-                q += 1
-                if not (cmath.isfinite(recip) and cmath.isfinite(zpow) and math.isfinite(env)):
-                    warnings.add(OVERFLOW_SATURATION)
+                env = env * ((j + 2) / (j + 1)) * rho * abs_inv_z * abs(k - j)
     else:
         rho = max(growth_radius(alpha), growth_radius(beta))
         if bound is None:
@@ -280,53 +274,47 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
             az = abs(z)
             if az < 1.05 * rho or az <= rho + abs(k.real):
                 warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
-        rel_tol = policy.rel_tol
-        env = abs(recip)
-        prev_env = math.inf
-        q = 0
-        while q <= last or not (weights[q % 2] or exhausted(q) or OVERFLOW_SATURATION in warnings):
-            c = next(shells)
-            m = weights[q % 2]
-            if m:
-                t = m * c * recip * zpow
-                try:
-                    shell_env = abs(m) * env
-                    if shell_env <= rel_tol * abs(acc) and used > 0:
-                        err = abs(t) + _ROUNDOFF_FACTOR * _EPS * abs_acc
-                        return _finish(acc, used, "tolerance-met", err, warnings)
-                    if not fixed and shell_env > prev_env:
-                        # envelope upturn: shell q is the first of the
-                        # divergent tail, leave it out and report its scale
-                        if q < 3:
-                            warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
-                        err = max(shell_env, abs(t)) + _ROUNDOFF_FACTOR * _EPS * abs_acc
-                        return _finish(acc, used, "optimal-truncation", err, warnings)
-                    prev_env = shell_env
-                    acc += t
-                    used += 1
-                    abs_acc += abs(t)
-                except OverflowError:
-                    # a finite shell or sum whose modulus outgrows a double
-                    warnings.add(OVERFLOW_SATURATION)
-                    abs_acc = math.inf
-                    break
-            # step to shell q + 1 (envelope() inline); one check per shell
-            # covers the sum, the weights and the envelope, but an infinite
-            # envelope only stops the tolerance test of a terminating sum
-            kq = k - q
-            recip = recip * kq
-            zpow = zpow * inv_z
-            env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
-            q += 1
-            if not (cmath.isfinite(acc) and cmath.isfinite(zpow)
-                    and (math.isfinite(env) or bound is not None) and cmath.isfinite(recip)):
+    rel_tol = policy.rel_tol
+    prev_env = math.inf
+    while q <= last or not (weights[q % 2] or q > top or OVERFLOW_SATURATION in warnings):
+        c = next(shells)
+        m = weights[q % 2]
+        if m:
+            t = m * c * recip * zpow
+            try:
+                shell_env = abs(m) * env
+                if shell_env <= rel_tol * abs(acc) and used > 0:
+                    err = abs(t) + _ROUNDOFF_FACTOR * _EPS * abs_acc
+                    return _finish(acc, used, "tolerance-met", err, warnings)
+                if not fixed and shell_env > prev_env:
+                    # envelope upturn: shell q is the first of the
+                    # divergent tail, leave it out and report its scale
+                    if q < 3:
+                        warnings.add(NOT_IN_ASYMPTOTIC_REGIME)
+                    err = max(shell_env, abs(t)) + _ROUNDOFF_FACTOR * _EPS * abs_acc
+                    return _finish(acc, used, "optimal-truncation", err, warnings)
+                prev_env = shell_env
+                acc += t
+                used += 1
+                abs_acc += abs(t)
+            except OverflowError:
+                # a finite shell or sum whose modulus outgrows a double
                 warnings.add(OVERFLOW_SATURATION)
+                abs_acc = math.inf
                 break
-    # Past the budget (last <= bound) both loops stop at the next
-    # contributing shell, whose envelope the error reports (the difference
-    # series skips even shells), unless none is left or the sum has
-    # overflowed.
-    if exhausted(q):
+        # step to shell q + 1; one check per shell covers the sum, the
+        # weights and the envelope, but an infinite envelope only stops
+        # the tolerance test of a terminating sum
+        kq = k - q
+        recip = recip * kq
+        zpow = zpow * inv_z
+        env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
+        q += 1
+        if not (cmath.isfinite(acc) and cmath.isfinite(zpow)
+                and (math.isfinite(env) or bound is not None) and cmath.isfinite(recip)):
+            warnings.add(OVERFLOW_SATURATION)
+            break
+    if q > top:
         return _finish(acc, used, "terminated-exactly", 0.0, warnings)
     if not math.isfinite(env):
         # the error estimate of a sum cut short has saturated

@@ -258,3 +258,22 @@ def test_growth_radius_bounds_polynomial_growth():
         rho = growth_radius(x)
         n = rng.randrange(5, 40)
         assert abs(cheb_t(n, x)) <= 1.000001 * rho ** n
+
+
+def test_growth_radius_matches_mpmath_far_outside_the_interval():
+    # For Re x < 0 the root x + sqrt(x^2 - 1) is the small one, formed by
+    # cancellation; the large root must not be read off its inverse.  The
+    # oracle takes the larger modulus of both roots at 30 digits.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(41)
+    points = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 150.0) for _ in range(300)]
+    points += [complex(-1.0 - 10.0 ** rng.uniform(-3.0, 150.0),
+                       rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 150.0))
+               for _ in range(300)]
+    points += [-1e3, -1e5, -1e7, -1e8, -1e150]
+    with mpmath.workdps(30):
+        for x in points:
+            big = mpmath.mpc(x)
+            root = mpmath.sqrt(big * big - 1)
+            ref = max(abs(big + root), abs(big - root))
+            assert abs(growth_radius(x) - ref) <= 4 * sys.float_info.epsilon * ref, x

@@ -720,6 +720,50 @@ def test_sweep_fingerprint_reports_how_rows_moved():
     assert diff.report()[-1] == "failure-cause moves: pass -> aborted 1, pass -> nonfinite_closed 1"
 
 
+def _script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_series_fingerprint_exits_1_when_a_draw_moved(tmp_path, capsys):
+    # --against exits 0 against the script's own dump, and 1 once one
+    # line of that dump is altered
+    series = _script("series_fingerprint")
+    dump = tmp_path / "series.txt"
+    argv = ["--draws", "30"]
+    assert series.main(argv + ["--dump", str(dump)]) == 0
+    assert series.main(argv + ["--against", str(dump)]) == 0
+    lines = dump.read_text().splitlines(keepends=True)
+    cells = lines[3].split("\t")
+    cells[1 + len(series.POINT_FIELDS)] = "(0.5+0j)"  # the value field
+    lines[3] = "\t".join(cells)
+    dump.write_text("".join(lines))
+    assert series.main(argv + ["--against", str(dump)]) == 1
+    assert "1 of 30 draws moved" in capsys.readouterr().out
+
+
+def test_sweep_fingerprint_exits_1_when_a_row_moved(tmp_path, capsys):
+    sweeps = _script("sweep_fingerprint")
+    rows = tmp_path / "rows"
+    argv = ["--seeds", "1", "--workloads", "sweep-deep"]
+    assert sweeps.main(argv + ["--dump", str(rows)]) == 0
+    assert sweeps.main(argv + ["--against", str(rows)]) == 0
+    cell = sorted((rows / "sweep-deep" / "seed-1").iterdir())[0]
+    with cell.open(newline="") as fh:
+        table = list(csv.reader(fh))
+    column = table[0].index("series_re")
+    assert table[1][column] != "0.5"
+    table[1][column] = "0.5"
+    with cell.open("w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+    capsys.readouterr()
+    assert sweeps.main(argv + ["--against", str(rows)]) == 1
+    assert "1 of 1280 rows changed" in capsys.readouterr().out
+
+
 def test_cli_missing_config_exits_2(capsys):
     rc = main(["sweep", "--config", "/nonexistent/path.cfg"])
     assert rc == 2

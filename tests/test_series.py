@@ -409,6 +409,30 @@ def test_fixed_mode_exact_sum_is_not_flagged_for_its_envelope():
     assert "overflow-saturation" not in flags
 
 
+def test_walk_past_the_budget_reads_the_next_contributing_shell():
+    # k = 160: the envelope overflows before shell 36, which has weight 0
+    # in the difference series, so max_shell = 35 and 36 leave out the same
+    # shells.  The walk past the budget must reach shell 37 in both, and
+    # report its overflowed envelope as the error.
+    point = params(-2.2438059165765454, -1.3059153318331578, 160.0, 1.297804734900649e-06)
+    short = difference_series(point, TruncationPolicy(max_shell=35))
+    full = difference_series(point, TruncationPolicy(max_shell=36))
+    assert short == full
+    assert short.error_estimate == math.inf
+    assert short.termination == "budget-exhausted"
+    assert "overflow-saturation" in short.warnings
+    assert difference_series(point, TruncationPolicy(mode="fixed", max_shell=35)) == short
+
+
+def test_far_negative_argument_keeps_its_growth_radius():
+    # alpha = -1e9: the growth radius is 2e9, not the inverse of a root
+    # that cancels to a few digits, so the sum is not stopped early
+    res = series_sum(params(-1e9, 0.3, 2.5, 1e12))
+    assert abs(res.value - 0.39900299699729051) <= 1e-14
+    res = series_sum(params(-1e9, 0.3, 2.5, 3e9))
+    assert "not-in-asymptotic-regime" in res.warnings
+
+
 # ---------------------------------------------------------- real arithmetic
 
 def _bits(x):
