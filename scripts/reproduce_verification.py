@@ -5,16 +5,30 @@ The default seed must give a byte-identical report on every run; other
 seeds redraw the randomized rows and should pass identically.  Exit
 status is nonzero if any case fails at any seed.  The last line is the
 sha256 over the text and JSON reports of every seed run, so two
-checkouts can be compared over many seeds with one diff.
+checkouts can be compared over many seeds with one diff.  ``--seeds``
+takes a comma-separated list whose items may be inclusive ranges
+``lo..hi``.
+
+``--dump DIR`` (or its older name ``--json DIR``) also writes each
+seed's JSON report as ``DIR/report-<seed>.json``.  ``--against DIR``
+reads such a dump, made by another checkout, and lists every (seed,
+case, field) of the reports whose text moved, with the relative change
+of a numeric field; the exit status then says only whether anything
+moved: 1 when it did and 0 when nothing did.  Each case reports its
+worst point, so a field can also move because another point became the
+worst one.
 
 Usage:
     python scripts/reproduce_verification.py
-    python scripts/reproduce_verification.py --seeds 1,2,3 --json out/
-    python scripts/reproduce_verification.py --seeds $(seq -s, 0 199) | tail -1
+    python scripts/reproduce_verification.py --seeds 1,2,3 --dump out/
+    python scripts/reproduce_verification.py --seeds 0..199 | tail -1
+    python scripts/reproduce_verification.py --seeds 0..199 --against out/
 """
 
 import argparse
 import hashlib
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,16 +40,72 @@ from chebgamma.harness import (  # noqa: E402
 from chebgamma.sweep import _open_in_place  # noqa: E402
 
 
+def parse_seeds(text: str) -> list:
+    """'0..3,7' -> [0, 1, 2, 3, 7]."""
+    seeds = []
+    for tok in text.split(","):
+        lo, sep, hi = tok.partition("..")
+        seeds.extend(range(int(lo), int(hi) + 1) if sep else [int(tok)])
+    return seeds
+
+
+def _number(value):
+    """A numeric report field (a float or a [re, im] pair) as complex, else None."""
+    if isinstance(value, float):
+        return complex(value)
+    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, float) for v in value):
+        return complex(*value)
+    return None
+
+
+def _relative_change(old, new):
+    """|new - old| / |old| for numeric fields, None for the others."""
+    old, new = _number(old), _number(new)
+    if old is None or new is None:
+        return None
+    if not all(math.isfinite(v) for v in (old.real, old.imag, new.real, new.imag)):
+        return math.inf
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def compare(seed: int, old_doc: str, new_doc: str) -> list:
+    """One report line per (case, field) of one seed whose JSON text moved."""
+    old = {c["case_id"]: c for c in json.loads(old_doc)["cases"]}
+    moved = []
+    for case in json.loads(new_doc)["cases"]:
+        before = old.get(case["case_id"])
+        if before is None:
+            moved.append(f"seed {seed} {case['case_id']}: not in the dump")
+            continue
+        for field, value in case.items():
+            if json.dumps(value) == json.dumps(before.get(field)):
+                continue
+            change = _relative_change(before.get(field), value)
+            note = (f"relative change {change:.3g}" if change is not None
+                    else f"{json.dumps(before.get(field))} -> {json.dumps(value)}")
+            moved.append(f"seed {seed} {case['case_id']} {field}: {note}")
+    return moved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default=str(DEFAULT_SEED),
-                        help="comma-separated seeds (default: the pinned report seed)")
-    parser.add_argument("--json", default=None, metavar="DIR",
+                        help="comma-separated seeds or lo..hi ranges "
+                             "(default: the pinned report seed)")
+    parser.add_argument("--dump", "--json", dest="dump", default=None, metavar="DIR",
                         help="also write one JSON report per seed into DIR")
+    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
+                        help="list the fields that moved against a --dump DIR")
     args = parser.parse_args(argv)
 
-    seeds = [int(tok) for tok in args.seeds.split(",")]
+    seeds = parse_seeds(args.seeds)
+    if args.against is not None:
+        missing = [str(args.against / f"report-{seed}.json") for seed in seeds
+                   if not (args.against / f"report-{seed}.json").is_file()]
+        if missing:
+            parser.error(f"no dump at {', '.join(missing)}")
     any_fail = False
+    moved = []
     digest = hashlib.sha256()
     for seed in seeds:
         reports = run_all(seed=seed)
@@ -48,15 +118,24 @@ def main(argv=None) -> int:
             again = render_report_text(run_all(seed=seed), seed)
             status = "byte-identical" if again == text else "NOT REPRODUCIBLE"
             print(f"repeat run at seed {seed}: {status}")
-        if args.json is not None:
-            os.makedirs(args.json, exist_ok=True)
-            path = os.path.join(args.json, f"report-{seed}.json")
+        if args.dump is not None:
+            os.makedirs(args.dump, exist_ok=True)
+            path = os.path.join(args.dump, f"report-{seed}.json")
             with _open_in_place(path) as fh:
                 fh.write(doc)
             print(f"wrote {path}")
+        if args.against is not None:
+            old = (args.against / f"report-{seed}.json").read_text()
+            moved += compare(seed, old, doc)
         any_fail |= any(r.status == "fail" for r in reports)
         print()
+    if args.against is not None:
+        print(f"{len(moved)} (seed, case, field) entries moved against {args.against}")
+        for line in moved:
+            print(f"  {line}")
     print(f"sha256 of all reports = {digest.hexdigest()}")
+    if args.against is not None:
+        return 1 if moved else 0
     return 1 if any_fail else 0
 
 

@@ -9,7 +9,11 @@ Two independent routes to the same value are implemented on purpose:
   prefactor, grouped by root: one loop over the four Chebyshev roots
   x -+ i sqrt(1 - x^2), three incomplete gammas each.  Those factors
   depend on one variable only, so they are computed as one root pair per
-  variable, which a sweep shares across the points of an (a, k) block.
+  variable.  Inside a ``_shared_root_pairs`` scope the calls share their
+  pairs, keyed by the exact bits of (a*pi, k, x) and replaying the flags
+  and errors each pair raised: a sweep opens one per (a, k) block, and
+  ``limit_eval`` one around its levels, so that n levels compute n + 1
+  root pairs instead of 2n.
 
 They share only the scalar kernels, so agreement between them is a real
 cross-check on the transcription.  ``closed_form_cos`` is the same
@@ -31,9 +35,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Optional
 
-from ._flags import BRANCH_SENSITIVE, checked, flag
+from ._flags import BRANCH_SENSITIVE, checked, collect, flag
 from .complexfn import (
     cexp,
     cpow,
@@ -42,7 +50,13 @@ from .complexfn import (
     exp_integral_e,
     upper_gamma,
 )
-from .errors import ConfigError, NonConvergenceError, PoleError, SingularParameterError
+from .errors import (
+    ConfigError,
+    KernelDomainError,
+    NonConvergenceError,
+    PoleError,
+    SingularParameterError,
+)
 from .series import SeriesParams, _scalar
 
 __all__ = [
@@ -174,8 +188,7 @@ def _root_pair(z: complex, k: complex, x: complex) -> tuple:
 
     Returns (s, roots) with s = sqrt(1-x^2) and, for the roots X = x - i s
     and x + i s in that order, the factors (e^(z X), X^(-k-2), G(k+2),
-    X^(-k-1), G(k+1), X^(-k), G(k)) with G(t) = Gamma(t, z X).  A sweep
-    block at fixed (a, k) computes this once per grid value of x.
+    X^(-k-1), G(k+1), X^(-k), G(k)) with G(t) = Gamma(t, z X).
     """
     s = csqrt(1.0 - x * x)
     roots = []
@@ -188,26 +201,52 @@ def _root_pair(z: complex, k: complex, x: complex) -> tuple:
     return s, tuple(roots)
 
 
-def _assemble(params: SeriesParams, root_pair) -> complex:
-    """closed_form, with each variable's root pair from root_pair(z, k, x).
+# The open root-pair scope (_shared_root_pairs), or None: a dict from the
+# exact bits of (z, k, x) to (pair, error, flags).
+_pair_scope: ContextVar[Optional[dict]] = ContextVar("chebgamma_root_pairs", default=None)
 
-    The weights, the coefficients alpha+beta and alpha beta, and the
-    prefactor are applied here; closed_form passes ``_root_pair`` itself.
+
+@contextmanager
+def _shared_root_pairs():
+    """Share root pairs among the closed_form calls of the block.
+
+    Within the block each distinct (z, k, x) computes its root pair once.
+    The flags the pair raised, and a KernelDomainError it raised, are kept
+    with it and raised again at every later point that uses it, so each
+    value, flag and error is what closed_form gives outside the scope (a
+    pair that raised any other error is not kept).  Keys are exact bits:
+    0.0 == -0.0, but the roots built from them can carry zeros of
+    different sign into the kernels.  A nested scope starts empty and the
+    outer one is back when it ends.
     """
-    _check_regular(params)
-    z = params.a_pi()
-    k, alpha, beta = params.k, params.alpha, params.beta
-    sa, alpha_roots = root_pair(z, k, alpha)
-    sb, beta_roots = root_pair(z, k, beta)
-    # the coefficients, multiplied left to right as the printed bracket reads
-    c1 = (k + 1) * (alpha + beta)
-    c0 = k * (k + 1) * alpha * beta
-    bracket = 0j
-    for weight, (e, p2, g2, p1, g1, p0, g0) in zip(
-            (sb, -sb, -sa, sa), alpha_roots + beta_roots):
-        bracket += weight * e * (p2 * g2 - c1 * p1 * g1 + c0 * p0 * g0)
-    pref = 1.0 / (4j * k * (k + 1) * cpow(z, k) * sa * (alpha - beta) * sb)
-    return checked(pref * bracket)
+    token = _pair_scope.set({})
+    try:
+        yield
+    finally:
+        _pair_scope.reset(token)
+
+
+def _shared_pair(z: complex, k: complex, x: complex) -> tuple:
+    """_root_pair(z, k, x), shared through the open scope if there is one."""
+    pairs = _pair_scope.get()
+    if pairs is None:
+        return _root_pair(z, k, x)
+    key = struct.pack("<6d", z.real, z.imag, k.real, k.imag, x.real, x.imag)
+    if key in pairs:
+        pair, error, raised = pairs[key]
+        for name in raised:
+            flag(name)
+    else:
+        pair = error = None
+        with collect() as raised:
+            try:
+                pair = _root_pair(z, k, x)
+            except KernelDomainError as exc:
+                error = exc
+        pairs[key] = pair, error, raised
+    if error is not None:
+        raise error
+    return pair
 
 
 def closed_form(params: SeriesParams) -> complex:
@@ -219,10 +258,24 @@ def closed_form(params: SeriesParams) -> complex:
     + k(k+1) alpha beta X^(-k) G(k)], with G(s) = Gamma(s, z X).
 
     Only the weights, the coefficients and the prefactor involve both
-    variables.  ``_root_pair`` computes the rest for one variable (six of
-    the twelve incomplete gammas) and ``_assemble`` combines the two pairs.
+    variables.  The rest, six of the twelve incomplete gammas per
+    variable, is one root pair per variable (``_root_pair``), shared
+    with the other calls in an open ``_shared_root_pairs`` scope.
     """
-    return _assemble(params, _root_pair)
+    _check_regular(params)
+    z = params.a_pi()
+    k, alpha, beta = params.k, params.alpha, params.beta
+    sa, alpha_roots = _shared_pair(z, k, alpha)
+    sb, beta_roots = _shared_pair(z, k, beta)
+    # the coefficients, multiplied left to right as the printed bracket reads
+    c1 = (k + 1) * (alpha + beta)
+    c0 = k * (k + 1) * alpha * beta
+    bracket = 0j
+    for weight, (e, p2, g2, p1, g1, p0, g0) in zip(
+            (sb, -sb, -sa, sa), alpha_roots + beta_roots):
+        bracket += weight * e * (p2 * g2 - c1 * p1 * g1 + c0 * p0 * g0)
+    pref = 1.0 / (4j * k * (k + 1) * cpow(z, k) * sa * (alpha - beta) * sb)
+    return checked(pref * bracket)
 
 
 def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
@@ -440,15 +493,21 @@ def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
     even in each square root, so the value is analytic in eps along the
     perturbation path).  Raises when the extrapolants stop contracting
     by at least 2 per level above the rounding floor.
+
+    The levels share their root pairs (``_shared_root_pairs``): each kind
+    holds one variable fixed, or, in ``both-to-one``, takes beta at one
+    level bit for bit equal to alpha at the level before (1 - 2 eps_j =
+    1 - eps_(j-1)), so n levels compute n + 1 root pairs, not 2n.
     """
     on_singular_set, perturbed = _LIMIT_KINDS[limit.kind]
     if not on_singular_set(params):
         raise SingularParameterError(
             f"params do not sit on the {limit.kind} singular set")
+    with _shared_root_pairs():
+        values = [closed_form(perturbed(params, limit.eps0 * 0.5 ** j))
+                  for j in range(limit.levels)]
     rows = []
-    for j in range(limit.levels):
-        eps = limit.eps0 * 0.5 ** j
-        value = closed_form(perturbed(params, eps))
+    for j, value in enumerate(values):
         # Neville update of the Richardson tableau, ratio 2, order 1 model
         row = [value]
         prev = rows[-1] if rows else None

@@ -10,6 +10,13 @@ arithmetic gave ``nan+nanj``.  Branch convention throughout: principal
 branch, with the negative real axis assigned arg z = +pi (upper side),
 so results are reproducible for arguments that land exactly on the cut.
 
+Gamma(z) is the C library's ``math.gamma`` on the real axis, and
+exp(log_gamma(z)) off it and past the C library's overflow at 171.62:
+exp turns log Gamma's absolute error into a relative error of the value,
+up to 2.7e-13 on the real axis, where ``math.gamma`` stays within about
+1e-15 and stays finite up to the double limit, past the saturation of
+``cexp`` at log Gamma = 709 (x = 171.4).
+
 Regime map for the incomplete gamma function Gamma(s, z), one decision
 for every order s:
 
@@ -258,14 +265,25 @@ def log_gamma(z) -> complex:
 
 
 def gamma_fn(z) -> complex:
-    """Gamma(z) = exp(log_gamma(z))."""
+    """Gamma(z): the C library's Gamma on the real axis, else exp(log_gamma(z)).
+
+    exp turns the absolute error of log Gamma into a relative error of
+    the value, up to 2.7e-13 on the real axis (log Gamma(171) is 706),
+    while ``math.gamma`` stays within about 1e-15 relative; it is also
+    sharp up to Gamma's own overflow at 171.62, past the 709 at which
+    ``cexp`` saturates.  Where it overflows, and everywhere off the real
+    axis, the value is exp(log_gamma(z)), a flagged inf once it saturates.
+    Within 1e-12 of a non-positive integer this raises ``PoleError``.
+    """
     z = _as_complex(z, "z")
-    w = cexp(log_gamma(z))
     if z.imag == 0.0:
-        # Gamma is real on the real axis; discard the phase wobble that
-        # exp(i * k*pi) leaves behind so conjugate symmetry stays exact.
-        return complex(w.real, 0.0)
-    return w
+        if _nearest_nonpos_int(z) is not None:
+            raise PoleError(f"gamma_fn pole at z = {z}")
+        try:
+            return complex(math.gamma(z.real), 0.0)
+        except OverflowError:
+            pass  # past 171.62, where exp(log_gamma) saturates to a flagged inf
+    return cexp(log_gamma(z))
 
 
 # --- pochhammer ------------------------------------------------------------

@@ -16,10 +16,11 @@ comment; blank lines ignored; list values are comma separated)::
 
 Rows are emitted in deterministic lexicographic order over (a, k,
 alpha, beta) with each axis in its declared value order.  The points of
-one (a, k) block share their root pairs: each alpha or beta value's six
-incomplete gammas (see ``closedform._root_pair``) are computed the first
-time a regular point of the block needs them and reused by the rest of
-the block, so kernel work per block grows with n_alpha + n_beta, not
+one (a, k) block share their root pairs: each block calls
+``closed_form`` inside one ``closedform._shared_root_pairs`` scope, so
+each alpha or beta value's six incomplete gammas are computed once per
+block, with their flags and errors replayed at every point that uses
+them, and kernel work per block grows with n_alpha + n_beta, not
 n_alpha * n_beta.  Blocks are independent pure evaluations, so a
 concurrent sweep would split the grid by block; this implementation
 evaluates sequentially, which already makes the output deterministic.
@@ -43,14 +44,12 @@ import json
 import math
 import os
 import re
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
-from ._flags import collect, flag
-from .closedform import _assemble, _root_pair
+from ._flags import collect
+from .closedform import _shared_root_pairs, closed_form
 from .errors import ConfigError, KernelDomainError, SingularParameterError
 from .series import SeriesParams, TruncationPolicy, series_sum
 
@@ -195,34 +194,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
 _SKIPPED = (SingularParameterError, KernelDomainError, ConfigError)
 
 
-def _block_pair(pairs: dict, z: complex, k: complex, x: complex) -> tuple:
-    """x's root pair, computed on first use within one (a, k) block.
-
-    The flags the pair raised, and a skip error it raised, are kept with
-    it and raised again at every later point that uses it, so each row
-    sees exactly what a point-by-point evaluation would.  Keys are the
-    exact bits of x: 0.0 == -0.0, but the roots built from them can carry
-    zeros of different sign into the kernels.
-    """
-    key = struct.pack("<2d", x.real, x.imag)
-    if key in pairs:
-        pair, error, raised = pairs[key]
-        for name in raised:
-            flag(name)
-    else:
-        pair = error = None
-        with collect() as raised:
-            try:
-                pair = _root_pair(z, k, x)
-            except _SKIPPED as exc:
-                error = exc
-        pairs[key] = pair, error, raised
-    if error is not None:
-        raise error
-    return pair
-
-
-def _evaluate_point(a, k, alpha, beta, config, root_pair):
+def _evaluate_point(a, k, alpha, beta, config):
     """One grid point -> (row, skipped).
 
     The row is a tuple in SWEEP_COLUMNS order: a float or None for each
@@ -241,7 +213,7 @@ def _evaluate_point(a, k, alpha, beta, config, root_pair):
                 series = series_value.real, series_value.imag
                 series_err = result.error_estimate
             if config.mode in ("closed", "both"):
-                closed_value = _assemble(params, root_pair)
+                closed_value = closed_form(params)
                 closed = closed_value.real, closed_value.imag
         except _SKIPPED as exc:
             skip = f"skipped-with-warning: {exc}"
@@ -292,12 +264,12 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     failures = 0
     for a in config.a:
         for k in config.k:
-            root_pair = partial(_block_pair, {})  # one memo per (a, k) block
-            for alpha in config.alpha:
-                for beta in config.beta:
-                    row, skipped = _evaluate_point(a, k, alpha, beta, config, root_pair)
-                    failures += skipped
-                    rows.append(row)
+            with _shared_root_pairs():
+                for alpha in config.alpha:
+                    for beta in config.beta:
+                        row, skipped = _evaluate_point(a, k, alpha, beta, config)
+                        failures += skipped
+                        rows.append(row)
 
     if config.format == "csv":
         with _open_in_place(config.output_path, newline="") as fh:

@@ -8,12 +8,14 @@ cross-check rather than an echo.
 """
 
 import cmath
+import contextlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import chebgamma.closedform as cf
 from chebgamma import (
     ConfigError,
     LimitSpec,
@@ -495,3 +497,127 @@ def test_limit_non_convergence_is_detected(monkeypatch):
     monkeypatch.setattr(cf, "closed_form", stubborn)
     with pytest.raises(NonConvergenceError):
         cf.limit_eval(params(0.5, 0.5, 2.0, 10.0), LimitSpec(kind="alpha-to-beta"))
+
+
+# ------------------------------------------------------- root-pair scope
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = cf.upper_gamma
+
+    def counting(s, w):
+        calls.append((s, w))
+        return kernel(s, w)
+
+    monkeypatch.setattr(cf, "upper_gamma", counting)
+    return calls
+
+
+def same_bits(x, y):
+    return all(u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+               or math.isnan(u) and math.isnan(v)
+               for u, v in ((x.real, y.real), (x.imag, y.imag)))
+
+
+@pytest.mark.parametrize("point, kind", [
+    ((0.5, 0.5, 2.0, 10.0), "alpha-to-beta"),
+    ((1.0, 0.25, 2.0, 12.0), "alpha-to-one"),
+    ((-1.0, 0.25, 3.0, 12.0), "alpha-to-minus-one"),
+    ((1.0, 1.0, -0.5, 10.0), "both-to-one"),
+])
+def test_limit_levels_share_their_root_pairs(monkeypatch, point, kind):
+    # Six levels, one variable fixed (or, for both-to-one, beta at one
+    # level equal to alpha at the level before): seven pairs, not twelve.
+    calls = count_kernel_calls(monkeypatch)
+    spec = LimitSpec(kind=kind)
+    shared = limit_eval(params(*point), spec)
+    assert len(calls) == 7 * 6
+    calls.clear()
+    monkeypatch.setattr(cf, "_shared_root_pairs", contextlib.nullcontext)
+    alone = limit_eval(params(*point), spec)
+    assert len(calls) == 12 * 6
+    assert same_bits(shared, alone)
+
+
+def test_closed_form_outside_a_scope_computes_both_pairs(monkeypatch):
+    calls = count_kernel_calls(monkeypatch)
+    p = params(0.3, -0.55, 2.5, 20.0)
+    closed_form(p)
+    closed_form(p)
+    assert len(calls) == 2 * 12
+
+
+def test_a_scope_keeps_points_of_other_a_and_k_apart(monkeypatch):
+    # Same alpha and beta at three (a, k): nothing is shared, and every
+    # value has the bits it has outside the scope.
+    points = [params(0.3, -0.55, 2.5, 20.0), params(0.3, -0.55, 2.5, 21.0),
+              params(0.3, -0.55, 3.5, 20.0)]
+    alone = [closed_form(p) for p in points]
+    calls = count_kernel_calls(monkeypatch)
+    with cf._shared_root_pairs():
+        shared = [closed_form(p) for p in points]
+    assert len(calls) == 3 * 12
+    assert all(same_bits(x, y) for x, y in zip(shared, alone))
+
+
+def count_pairs(monkeypatch):
+    computed = []
+    root_pair = cf._root_pair
+
+    def counting(z, k, x):
+        computed.append(x)
+        return root_pair(z, k, x)
+
+    monkeypatch.setattr(cf, "_root_pair", counting)
+    return computed
+
+
+def outcome(p):
+    """(value, error text, flags) of closed_form at p."""
+    with collect() as seen:
+        try:
+            value, error = closed_form(p), None
+        except Exception as exc:
+            value, error = None, f"{type(exc).__name__}: {exc}"
+    return value, error, sorted(seen)
+
+
+@pytest.mark.parametrize("points, pairs, raises", [
+    # At alpha = 3e153 the pair saturates e^(z X), flags it, and then
+    # raises KernelDomainError before the beta pair is needed.
+    ([params(3e153, beta, 2.5, 20.0) for beta in (0.3, -0.2, 0.3)], 1, True),
+    # At a*pi = 300, k = -2 the beta = -1.5 pair saturates and flags.
+    ([params(alpha, -1.5, -2.0, 300.0) for alpha in (0.3, -0.6, 0.3)], 3, False),
+])
+def test_a_shared_pair_replays_its_flags_and_its_error(monkeypatch, points, pairs, raises):
+    alone = [outcome(p) for p in points]
+    assert all(flags == ["overflow-saturation"] for _, _, flags in alone)
+    assert all((error is not None) == raises for _, error, _ in alone)
+    computed = count_pairs(monkeypatch)
+    with cf._shared_root_pairs():
+        shared = [outcome(p) for p in points]
+    assert len(computed) == pairs
+    for (value, error, flags), (value0, error0, flags0) in zip(shared, alone):
+        assert (error, flags) == (error0, flags0)
+        assert value is value0 is None or same_bits(value, value0)
+
+
+def test_a_scope_ends_with_its_block_and_restores_the_outer_one(monkeypatch):
+    calls = count_kernel_calls(monkeypatch)
+    p = params(0.3, -0.55, 2.5, 20.0)
+    with cf._shared_root_pairs():
+        closed_form(p)
+        assert len(calls) == 12
+        with cf._shared_root_pairs():
+            closed_form(p)              # an inner scope starts empty
+            assert len(calls) == 24
+        closed_form(p)                  # the outer scope's pairs are back
+        assert len(calls) == 24
+    closed_form(p)
+    assert len(calls) == 36
+    with pytest.raises(SingularParameterError):
+        with cf._shared_root_pairs():
+            closed_form(params(0.3, 0.3, 2.5, 20.0))
+    closed_form(p)
+    assert len(calls) == 48

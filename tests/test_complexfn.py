@@ -77,6 +77,23 @@ def test_gamma_fn_real_axis_is_real():
     assert complex(gamma_fn(4.0)).imag == 0.0
 
 
+def test_gamma_fn_stays_finite_up_to_the_double_limit():
+    # log Gamma(171.6) = 709.66 is past the 709 at which exp saturates
+    with collect() as seen:
+        assert rel(gamma_fn(171.6), 1.5858969096672565e308) <= 1e-15
+        assert rel(upper_gamma(171.5, 1.0), 9.4833675668247993e307) <= 1e-14
+    assert not seen
+    with collect() as seen:
+        assert gamma_fn(172.0) == complex(math.inf, 0.0)
+    assert seen == {"overflow-saturation"}
+
+
+@pytest.mark.parametrize("x", (0.0, -0.0, -1.0, -3.0 + 1e-13, -170.0, -1e6))
+def test_gamma_fn_keeps_its_poles_on_the_real_axis(x):
+    with pytest.raises(PoleError):
+        gamma_fn(x)
+
+
 # --------------------------------------------------------------- upper_gamma
 
 def test_upper_gamma_exponential_case():

@@ -30,6 +30,7 @@ from chebgamma import (
     series_sum,
 )
 from chebgamma import closedform
+from chebgamma import sweep as sweep_module
 from chebgamma._flags import collect
 from chebgamma.cli import main
 from chebgamma.harness import DEFAULT_SEED, registered_cases, render_report_json, render_report_text
@@ -459,6 +460,27 @@ def test_sweep_computes_a_root_pair_only_for_regular_points(
     assert _count_kernel_calls(monkeypatch, config) == calls
 
 
+def test_sweep_evaluates_every_point_through_closed_form(tmp_path, monkeypatch):
+    # A block is one root-pair scope around plain closed_form calls, which
+    # a tracer sees by rebinding sweep.closed_form; no scope outlives it.
+    points = []
+    original = sweep_module.closed_form
+    monkeypatch.setattr(sweep_module, "closed_form", lambda p: points.append(p) or original(p))
+    config = _closed_sweep(tmp_path, (20.0 / math.pi,), (2.5, 3.5), (0.3, 1.0, -0.6), (0.5, -0.2))
+    # alpha = 1 is singular at every point: four pairs per block
+    assert _count_kernel_calls(monkeypatch, config) == 2 * 4 * 6
+    assert len(points) == 2 * 3 * 2
+    assert closedform._pair_scope.get() is None
+
+
+def test_verify_limit_case_computes_seven_root_pairs_per_point(monkeypatch):
+    calls = []
+    kernel = closedform.upper_gamma
+    monkeypatch.setattr(closedform, "upper_gamma", lambda s, w: calls.append(s) or kernel(s, w))
+    assert run_case("prop1-limit").status == "pass"
+    assert len(calls) == 11 * 7 * 6
+
+
 def _same_float(x, y):
     if math.isnan(x) or math.isnan(y):
         return math.isnan(x) and math.isnan(y)
@@ -762,6 +784,29 @@ def test_sweep_fingerprint_exits_1_when_a_row_moved(tmp_path, capsys):
     capsys.readouterr()
     assert sweeps.main(argv + ["--against", str(rows)]) == 1
     assert "1 of 1280 rows changed" in capsys.readouterr().out
+
+
+def test_reproduce_verification_exits_1_when_a_report_moved(tmp_path, capsys):
+    # --against exits 0 against the script's own dump, and 1 once one
+    # field of that dump is altered
+    verify = _script("reproduce_verification")
+    reports = tmp_path / "reports"
+    argv = ["--seeds", "3"]
+    assert verify.main(argv + ["--dump", str(reports)]) == 0
+    assert verify.main(argv + ["--against", str(reports)]) == 0
+    assert "0 (seed, case, field) entries moved" in capsys.readouterr().out
+    dump = reports / "report-3.json"
+    doc = json.loads(dump.read_text())
+    case = doc["cases"][5]
+    case["rel_err"] *= 2.0
+    case["status"] = "fail"
+    dump.write_text(json.dumps(doc))
+    assert verify.main(argv + ["--against", str(reports)]) == 1
+    out = capsys.readouterr().out
+    assert "2 (seed, case, field) entries moved" in out
+    assert f"seed 3 {case['case_id']} rel_err: relative change 0.5\n" in out
+    assert f'seed 3 {case["case_id"]} status: "fail" -> "pass"\n' in out
+    assert verify.parse_seeds("0..2,7") == [0, 1, 2, 7]
 
 
 def test_cli_missing_config_exits_2(capsys):

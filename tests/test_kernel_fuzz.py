@@ -31,7 +31,8 @@ log Gamma and Gamma have a fuzz of their own: the shift band Re z in
 [-300, 10], points within 1e-10 of a pole, |Im z| up to 1e200 (where a
 product of two shift factors would overflow) and the reflected region
 out to Re z = -1e9, each compared modulo 2 pi i with a bound scaled by
-max(1, |log Gamma|).
+max(1, |log Gamma|).  On the real axis Gamma is also held to 4e-15
+relative over [-170.5, 171.6], next to the poles included.
 """
 
 import cmath
@@ -273,6 +274,24 @@ def test_log_gamma_and_gamma_fn_match_mpmath(kind):
             assert rel(complexfn.gamma_fn(z), gamma) <= 1e-14 * scale, (z, gamma)
             compared += 1
     assert compared >= (0 if kind == 2 else 30)
+
+
+def test_gamma_fn_on_the_real_axis_matches_mpmath():
+    # The C library's Gamma: a 3000-draw probe found 7.3e-16 at worst,
+    # where exp(log Gamma) reached 2.7e-13 below the overflow and
+    # saturated above log Gamma = 709 (x > 171.4).
+    rng = random.Random(31)
+    for _ in range(400):
+        if rng.random() < 0.3:
+            pole = rng.randint(-170, 0)
+            x = pole + rng.choice((1.0, -1.0)) * log_uniform(rng, 1e-10, 0.5)
+            if x < -170.5:
+                continue
+        else:
+            x = rng.uniform(-170.5, 171.6)
+        with mpmath.workdps(40):
+            want = complex(mpmath.gamma(x))
+        assert rel(complexfn.gamma_fn(x), want) <= 4e-15, x
 
 
 def count_logs(monkeypatch):
