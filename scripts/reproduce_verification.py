@@ -9,14 +9,15 @@ checkouts can be compared over many seeds with one diff.  ``--seeds``
 takes a comma-separated list whose items may be inclusive ranges
 ``lo..hi``.
 
-``--dump DIR`` (or its older name ``--json DIR``) also writes each
-seed's JSON report as ``DIR/report-<seed>.json``.  ``--against DIR``
-reads such a dump, made by another checkout, and lists every (seed,
-case, field) of the reports whose text moved, with the relative change
-of a numeric field; the exit status then says only whether anything
-moved: 1 when it did and 0 when nothing did.  Each case reports its
-worst point, so a field can also move because another point became the
-worst one.
+``--dump DIR`` also writes each seed's JSON report as
+``DIR/report-<seed>.json``.  ``--against DIR`` reads such a dump, made
+by another checkout, and lists every (seed, case, field) of the reports
+whose text moved, with the relative change of a numeric field; the exit
+status then says only whether anything moved: 1 when it did and 0 when
+nothing did.  Each case reports its worst point and names it by its
+parameters, ``point``; a field of a case whose worst point moved reads
+"at another point", since it may have moved only because another point
+became the worst one.
 
 Usage:
     python scripts/reproduce_verification.py
@@ -77,12 +78,17 @@ def compare(seed: int, old_doc: str, new_doc: str) -> list:
         if before is None:
             moved.append(f"seed {seed} {case['case_id']}: not in the dump")
             continue
+        elsewhere = json.dumps(case.get("point")) != json.dumps(before.get("point"))
         for field, value in case.items():
-            if json.dumps(value) == json.dumps(before.get(field)):
+            was = before.get(field)
+            if json.dumps(value) == json.dumps(was):
                 continue
-            change = _relative_change(before.get(field), value)
+            # a point's two floats are parameters, not a [re, im] value
+            change = None if field == "point" else _relative_change(was, value)
             note = (f"relative change {change:.3g}" if change is not None
-                    else f"{json.dumps(before.get(field))} -> {json.dumps(value)}")
+                    else f"{json.dumps(was)} -> {json.dumps(value)}")
+            if elsewhere and field != "point":
+                note += ", at another point"
             moved.append(f"seed {seed} {case['case_id']} {field}: {note}")
     return moved
 
@@ -92,7 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default=str(DEFAULT_SEED),
                         help="comma-separated seeds or lo..hi ranges "
                              "(default: the pinned report seed)")
-    parser.add_argument("--dump", "--json", dest="dump", default=None, metavar="DIR",
+    parser.add_argument("--dump", default=None, metavar="DIR",
                         help="also write one JSON report per seed into DIR")
     parser.add_argument("--against", type=Path, default=None, metavar="DIR",
                         help="list the fields that moved against a --dump DIR")

@@ -16,6 +16,7 @@ imaginary part; the public functions still return ``complex``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -135,7 +136,14 @@ def growth_radius(x) -> float:
     |a pi| to decide whether shells can decay at all.
     """
     x = complex(x)
-    s = csqrt(x * x - 1.0)
+    square = x * x
+    if not cmath.isfinite(square):
+        # From |x| of about 1.34e154 on, x^2 overflows.  The roots are then
+        # x (1 +- sqrt(1 - 1/x^2)) with 1/x^2 far below the rounding of 1,
+        # so the larger has modulus 2|x|, taken as 4|x/2| so that abs
+        # cannot overflow at a finite x.
+        return 4.0 * abs(0.5 * x)
+    s = csqrt(square - 1.0)
     r, d = abs(x + s), abs(x - s)
     if d > 4.0 * r:
         # x + s is the small root (the roots' product is 1, so r < 1/2

@@ -1,14 +1,15 @@
 """Scalar special-function kernels on the complex plane.
 
 Everything here works on plain ``complex`` values (finite components
-required).  ``upper_gamma`` narrows a real order and a real argument to
-``float`` on entry, so its regimes run the same code in float
-arithmetic, which CPython runs faster than complex arithmetic; every
-finite result keeps its bits and is still returned as ``complex``, and a
-non-finite one may read ``nan+0j`` or ``inf+0j`` where complex
-arithmetic gave ``nan+nanj``.  Branch convention throughout: principal
-branch, with the negative real axis assigned arg z = +pi (upper side),
-so results are reproducible for arguments that land exactly on the cut.
+required).  ``upper_gamma`` and ``lower_gamma`` narrow a real order and
+a real argument to ``float`` on entry, so their regimes run the same
+code in float arithmetic, which CPython runs faster than complex
+arithmetic; every finite result keeps its bits and is still returned as
+``complex``, and a non-finite one may read ``nan+0j`` or ``inf+0j``
+where complex arithmetic gave ``nan+nanj``.  Branch convention
+throughout: principal branch, with the negative real axis assigned
+arg z = +pi (upper side), so results are reproducible for arguments that
+land exactly on the cut.
 
 Gamma(z) is the C library's ``math.gamma`` on the real axis, and
 exp(log_gamma(z)) off it and past the C library's overflow at 171.62:
@@ -17,28 +18,42 @@ up to 2.7e-13 on the real axis, where ``math.gamma`` stays within about
 1e-15 and stays finite up to the double limit, past the saturation of
 ``cexp`` at log Gamma = 709 (x = 171.4).
 
-Regime map for the incomplete gamma function Gamma(s, z), one decision
-for every order s:
+Regime map for the incomplete gamma function Gamma(s, z).  It is decided
+once, by ``_gamma_regime``, for every order s, and both ``upper_gamma``
+and ``lower_gamma`` (gamma(s, z) = Gamma(s) - Gamma(s, z)) dispatch on
+it.  The pocket radius is 1.5 (1 + |s|) up to |s| = 9, then
+``max(15, 1.1 |s|)``: past it the direct series soon loses digits, while
+the continued fraction is sharp and cheaper (see ``_POCKET_RATIO``); it
+is 1.5 once Re s < 0, where Gamma(s) - gamma(s, z) cancels as soon as
+|z| is a little past 1.
 
-* large ``|z|`` hugging the negative real axis (``|z| + Re z <= 4``)
-  with ``|z| >= 40 + 2|s|``: the large-|z| asymptotic expansion
-  (DLMF 8.11.2), a few dozen terms at most; if it does not settle, the
-  series pocket below
-* the series pocket, ``|z| + Re z <= 4`` or ``|z|`` below the pocket
-  radius with ``Re z >= 0``: Gamma(s) - gamma(s, z),
-  with gamma from the power series for ``Re z >= 0`` and from Kummer's
-  series sum_n (-z)^n / (n! (s + n)) for ``Re z < 0`` (terms of one sign
-  near the cut, so no exponential cancellation, but O(|z|) of them).  At
-  a non-positive integer s = -m, where Gamma(s) has a pole, the pocket
-  takes the s -> -m limit of Kummer's series instead (DLMF 8.4.15),
-  summed by the same loop with the n = m term left out.  The radius is
-  1.5 * (1 + |s|) up to |s| = 9, then ``max(15, 1.1 |s|)``: past it the
-  direct series soon loses digits, while the continued fraction is sharp
-  and cheaper (see ``_POCKET_RATIO``); 1.5 once Re s < 0
-* everywhere else   Legendre continued fraction (modified Lentz, budget
-  10000, tolerance 1e-15 on successive convergents); left of the
-  imaginary axis, an open defect: below ``|z|/|s|`` of about 0.6 its
-  Lentz iteration loses digits, and below 0.5 it settles on wrong values
+* far along the cut, ``|z| + Re z <= 4`` with ``|z| >= 40 + 2|s|``: the
+  large-|z| asymptotic expansion of Gamma(s, z) (DLMF 8.11.2), a few
+  dozen terms at most; if it does not settle, Kummer's series
+* next to the cut, ``|z| + Re z <= 4`` with Re z < 0: Kummer's series
+  gamma(s, z) = z^s sum_n (-z)^n / (n! (s + n)), whose terms have one
+  sign near the cut, so no exponential cancellation, but O(|z|) of them
+* the right half of the pocket disc, Re z >= 0 with ``|z|`` below the
+  radius (or ``|z| + Re z <= 4``, so ``|z| <= 2``): the power series
+  gamma(s, z) = z^s e^-z sum_n z^n / (s (s+1) ... (s+n))
+* the left half of that disc, Re z < 0 with ``|z|`` below the radius
+* everywhere else: the Legendre continued fraction for Gamma(s, z)
+  (modified Lentz, budget 10000, tolerance 1e-15 on successive
+  convergents)
+
+``upper_gamma`` takes Gamma(s) - gamma(s, z) from the series where the
+map names one.  At a non-positive integer s = -m, where Gamma(s) has a
+pole, it takes the s -> -m limit of Kummer's series instead (DLMF
+8.4.15), summed by the same loop with the n = m term left out.  It sends
+the left half of the disc to the continued fraction, as it does
+everything else: the one outcome on which the two kernels part.  Left
+of the imaginary axis the fraction is an open defect: below ``|z|/|s|``
+of about 0.6 its Lentz iteration loses digits, below 0.5 it settles on
+wrong values, and for complex s with ``|Im s| > |Re s|`` it can be wrong
+past ``|s|`` as well.  ``lower_gamma`` sums the power series in the
+whole disc, where no subtraction means no cancellation, Kummer's series
+next to the cut, and takes Gamma(s) - Gamma(s, z) everywhere else, so
+it inherits the fraction's defect outside the disc.
 
 Every regime ends with one scaling step, e^a e^b sum, a the exponent of
 the power of z and b = -z where e^-z is kept apart.  It multiplies the
@@ -105,6 +120,9 @@ _ASYMPTOTIC_BUDGET = 64
 _POCKET_MIN_Z = 15.0
 _POCKET_RATIO = 1.1
 _SNAP = 1e-12
+# The outcomes of _gamma_regime, one per regime of the module docstring.
+_ASYMPTOTIC, _KUMMER, _SERIES, _LEFT_DISC, _FRACTION = (
+    "asymptotic", "kummer", "series", "left-disc", "fraction")
 # log_gamma reflects below Re z = -_LOG_GAMMA_REFLECT, which must be at
 # least 9 for Stirling's series to take Gamma(1 - z).  A seeded probe
 # against 40-digit mpmath over Re z in [-300, -10], |Im z| up to 300,
@@ -125,29 +143,22 @@ def _as_complex(value, name: str) -> complex:
     return value
 
 
-def _upper_side(z: complex) -> complex:
-    # Collapse -0.0 imaginary parts so the cut is approached from above.
-    if z.imag == 0.0:
-        return complex(z.real, 0.0)
-    return z
-
-
 def _narrow(x):
     # A real value as a float, so that the arithmetic on it runs on floats
     # (bit for bit the real part of the complex arithmetic wherever the
     # result is finite); any other value as it is.  A float reads as on the
-    # upper side of the cut, as it does under _upper_side.
+    # upper side of the cut, whatever the sign of a zero imaginary part.
     return x.real if x.imag == 0.0 else x
 
 
 def clog(z: complex) -> complex:
     """Principal log with arg z = +pi on the negative real axis."""
-    return cmath.log(_upper_side(z))
+    return cmath.log(_narrow(z))
 
 
 def csqrt(z: complex) -> complex:
     """Principal square root with the same cut convention as :func:`clog`."""
-    return cmath.sqrt(_upper_side(z))
+    return cmath.sqrt(_narrow(z))
 
 
 def cpow(z: complex, s: complex) -> complex:
@@ -186,10 +197,10 @@ _STIRLING = (
 )
 
 
-def _nearest_nonpos_int(z: complex, tol: float = _SNAP):
-    """Return m >= 0 when z sits within tol of -m, else None."""
+def _nearest_nonpos_int(z: complex):
+    """Return m >= 0 when z sits within _SNAP of -m, else None."""
     n = round(z.real)
-    if n <= 0 and abs(z - n) <= tol:
+    if n <= 0 and abs(z - n) <= _SNAP:
         return -n
     return None
 
@@ -386,12 +397,6 @@ def _upper_series_nonpos_int(m: int, z: complex) -> complex:
     return _scaled(p * (psi - clog(z)) - total, s * clog(z))
 
 
-def _lower_gamma_series(s: complex, z: complex) -> complex:
-    if z.real < 0.0:
-        return _lower_series_reflected(s, z)
-    return _lower_series_direct(s, z)
-
-
 def _upper_asymptotic(s: complex, z: complex):
     # Gamma(s,z) ~ z^(s-1) e^-z sum_n (s-1)(s-2)...(s-n) / z^n, DLMF 8.11.2.
     # Returns None when a term grows or the budget runs out before the
@@ -440,12 +445,27 @@ def _upper_cf(s: complex, z: complex) -> complex:
     )
 
 
+def _gamma_regime(s: complex, z: complex) -> str:
+    # The regime map of the module docstring, for z != 0.
+    abs_s, abs_z = abs(s), abs(z)
+    if abs_z + z.real <= _REFLECT_MAX_CANCEL:
+        if abs_z >= _ASYMPTOTIC_MIN_Z + 2.0 * abs_s:
+            return _ASYMPTOTIC
+        return _KUMMER if z.real < 0.0 else _SERIES
+    radius = 1.5 * (1.0 + abs_s) if s.real >= 0.0 else 1.5
+    if radius > _POCKET_MIN_Z:
+        radius = max(_POCKET_MIN_Z, _POCKET_RATIO * abs_s)
+    if abs_z < radius:
+        return _SERIES if z.real >= 0.0 else _LEFT_DISC
+    return _FRACTION
+
+
 def upper_gamma(s, z) -> complex:
     """Upper incomplete gamma Gamma(s, z), principal branch.
 
     Entire in s; the cut in z runs along the negative real axis and is
     approached from above (arg z = +pi).  See the module docstring for
-    the regime selection.
+    the regime map.
     """
     s = _narrow(_as_complex(s, "s"))
     z = _narrow(_as_complex(z, "z"))
@@ -453,50 +473,39 @@ def upper_gamma(s, z) -> complex:
         if s.real > 0:
             return gamma_fn(s)
         raise KernelDomainError("upper_gamma(s, 0) requires Re(s) > 0")
-    # For Re(s) < 0 the subtraction Gamma(s) - gamma(s, z) cancels as soon
-    # as |z| is a little past 1, while the continued fraction stays sharp
-    # all the way down, so the series pocket shrinks with Re(s) < 0.  For
-    # Re(s) >= 0 the direct series loses digits past about 1.2 |s|, where
-    # the fraction is sharp, so the pocket ends at 1.1 |s| (_POCKET_RATIO).
-    # Left half-plane z inside the pocket still goes to the continued
-    # fraction once past the reflection budget: the reflected series
-    # cancels like e^(|z| + Re z) there.  The fraction is sharp there
-    # except where |z| < |s| (module docstring).
-    # One decision serves every s; only the series pocket splits off the
-    # non-positive integers, where Gamma(s) has a pole.
-    abs_s, abs_z = abs(s), abs(z)
-    series_radius = 1.5 * (1.0 + abs_s) if s.real >= 0.0 else 1.5
-    if series_radius > _POCKET_MIN_Z:
-        series_radius = max(_POCKET_MIN_Z, _POCKET_RATIO * abs_s)
-    near_cut = abs_z + z.real <= _REFLECT_MAX_CANCEL
-    if near_cut and abs_z >= _ASYMPTOTIC_MIN_Z + 2.0 * abs_s:
-        # Far out along the cut the asymptotic expansion replaces the
-        # O(|z|) Kummer series, which stays as its fallback.
+    regime = _gamma_regime(s, z)
+    if regime == _ASYMPTOTIC:
         g = _upper_asymptotic(s, z)
         if g is not None:
             return g
-    if near_cut or (abs_z < series_radius and z.real >= 0.0):
+        regime = _KUMMER
+    if regime == _SERIES or regime == _KUMMER:
         m = _nearest_nonpos_int(s)
         if m is not None:
             return _upper_series_nonpos_int(m, z)
-        return gamma_fn(s) - _lower_gamma_series(s, z)
+        lower = _lower_series_direct if regime == _SERIES else _lower_series_reflected
+        return gamma_fn(s) - lower(s, z)
     return _upper_cf(s, z)
 
 
 def lower_gamma(s, z) -> complex:
-    """Lower incomplete gamma gamma(s, z) = Gamma(s) - Gamma(s, z)."""
-    s = _as_complex(s, "s")
-    z = _upper_side(_as_complex(z, "z"))
+    """Lower incomplete gamma gamma(s, z) = Gamma(s) - Gamma(s, z).
+
+    See the module docstring for the regime map.
+    """
+    s = _narrow(_as_complex(s, "s"))
+    z = _narrow(_as_complex(z, "z"))
     if _nearest_nonpos_int(s) is not None:
         raise PoleError(f"lower_gamma has a pole in s at {s}")
     if z == 0:
         if s.real > 0:
             return 0.0 + 0.0j
         raise KernelDomainError("lower_gamma(s, 0) requires Re(s) > 0")
-    if abs(z) < 1.5 * (1.0 + abs(s)):
-        # Direct series: subtracting from Gamma(s) here would cancel badly
-        # when gamma is small.
-        return _lower_gamma_series(s, z)
+    regime = _gamma_regime(s, z)
+    if regime == _SERIES or regime == _LEFT_DISC:
+        return _lower_series_direct(s, z)
+    if regime == _KUMMER:
+        return _lower_series_reflected(s, z)
     return gamma_fn(s) - upper_gamma(s, z)
 
 

@@ -7,7 +7,8 @@ canonical points, a draw for randomized points, and the two routes.
 ``run_case`` evaluates 11 points per case (the canonical ones, then
 draws; a case with no free parameters runs its canonical point alone).
 A case fails if any point fails; the report shows the worst failing
-point, or the worst point when all pass.
+point, or the worst point when all pass, and the JSON report names it
+by its parameters.
 
 Determinism: draws come from a per-case RNG seeded by (seed, case_id)
 through SHA-256, so reports are byte-identical for a fixed seed no
@@ -84,6 +85,7 @@ class CaseReport:
     status: str                 # "pass" | "fail"
     wall_time_ms: float
     warnings: frozenset
+    point: tuple                # the parameters of the reported point
 
 
 @dataclass(frozen=True)
@@ -322,8 +324,8 @@ def run_case(case_id: str, seed: int = DEFAULT_SEED) -> CaseReport:
         with collect() as seen:
             lhs = case.lhs(*point)
             rhs = case.rhs(*point)
-        rows.append((lhs, rhs, *compare(lhs, rhs, case.tolerance), frozenset(seen)))
-    lhs, rhs, abs_err, rel_err, passed, warn = max(rows, key=_severity)
+        rows.append((lhs, rhs, *compare(lhs, rhs, case.tolerance), frozenset(seen), point))
+    lhs, rhs, abs_err, rel_err, passed, warn, point = max(rows, key=_severity)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return CaseReport(
         case_id=case.case_id,
@@ -335,6 +337,7 @@ def run_case(case_id: str, seed: int = DEFAULT_SEED) -> CaseReport:
         status="pass" if passed else "fail",
         wall_time_ms=elapsed_ms,
         warnings=warn,
+        point=point,
     )
 
 
@@ -371,6 +374,8 @@ def render_report_json(reports, seed: int) -> str:
                 "tolerance": r.tolerance,
                 "status": r.status,
                 "warnings": sorted(r.warnings),
+                "point": [[x.real, x.imag] if isinstance(x, complex) else x
+                          for x in r.point],
             }
             for r in reports
         ],

@@ -277,3 +277,22 @@ def test_growth_radius_matches_mpmath_far_outside_the_interval():
             root = mpmath.sqrt(big * big - 1)
             ref = max(abs(big + root), abs(big - root))
             assert abs(growth_radius(x) - ref) <= 4 * sys.float_info.epsilon * ref, x
+
+
+def test_growth_radius_matches_mpmath_past_the_overflow_of_x_squared():
+    # x^2 overflows from |x| of about 1.34e154, while the radius, about
+    # 2|x|, stays finite up to |x| of about 9e307.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(43)
+    points = [1.4e154, 1e160, -1e160, 1e200j, -8e307]
+    points += [complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(154.2, 307.9),
+                       rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-300.0, 307.9))
+               for _ in range(200)]
+    with mpmath.workdps(30):
+        for x in points:
+            big = mpmath.mpc(x)
+            root = mpmath.sqrt(big * big - 1)
+            ref = max(abs(big + root), abs(big - root))
+            if ref > sys.float_info.max:
+                continue
+            assert abs(growth_radius(x) - ref) <= 4 * sys.float_info.epsilon * ref, x

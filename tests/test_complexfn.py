@@ -150,6 +150,53 @@ def test_lower_gamma_pole_in_s():
         lower_gamma(-2.0, 1.0)
 
 
+# --------------------------------------------------------------- regime map
+
+_NEAR_CUT_IM = math.sqrt(14.0 ** 2 - 10.0 ** 2)  # |z| + Re z = 4 at Re z = -10
+_SMALL_S = 6.0 + 2.0j
+_SMALL_RADIUS = 1.5 * (1.0 + abs(_SMALL_S))
+
+
+@pytest.mark.parametrize("s, z, regime", [
+    # far along the cut: either side of |z| = 40 + 2|s|
+    (5.0, complex(-50.0, 1.0), "asymptotic"),
+    (5.0, complex(-49.9, 1.0), "kummer"),
+    # next to the cut: either side of |z| + Re z = 4, on both halves
+    (30.0, complex(-10.0, _NEAR_CUT_IM * (1.0 - 1e-9)), "kummer"),
+    (30.0, complex(-10.0, _NEAR_CUT_IM * (1.0 + 1e-9)), "left-disc"),
+    (-2.5, 1.99, "series"),
+    (-2.5, 2.01, "fraction"),
+    # inside the disc: either side of Re z = 0, with -0.0 on the right
+    (30.0, 10j, "series"),
+    (30.0, complex(-0.0, 10.0), "series"),
+    (30.0, complex(-1e-9, 10.0), "left-disc"),
+    # the disc's edge, 1.1 |s| = 33 here, on both halves
+    (30.0, 33.0 * (1.0 - 1e-12), "series"),
+    (30.0, 33.0, "fraction"),
+    (30.0, cmath.rect(33.0 * (1.0 - 1e-12), 2.0), "left-disc"),
+    (30.0, cmath.rect(33.0 * (1.0 + 1e-12), 2.0), "fraction"),
+    # a small order's disc edge, 1.5 (1 + |s|) = 10.98 here, on both halves
+    (_SMALL_S, cmath.rect(_SMALL_RADIUS * (1.0 - 1e-9), 1.2), "series"),
+    (_SMALL_S, cmath.rect(_SMALL_RADIUS * (1.0 + 1e-9), 1.2), "fraction"),
+    (_SMALL_S, cmath.rect(_SMALL_RADIUS * (1.0 - 1e-9), -2.0), "left-disc"),
+    (_SMALL_S, cmath.rect(_SMALL_RADIUS * (1.0 + 1e-9), -2.0), "fraction"),
+])
+def test_one_regime_map_serves_both_kernels(s, z, regime):
+    assert complexfn._gamma_regime(s, z) == regime
+    direct = complexfn._lower_series_direct(s, z)
+    reflected = complexfn._lower_series_reflected(s, z)
+    upper = {
+        "asymptotic": complexfn._upper_asymptotic(s, z),
+        "kummer": gamma_fn(s) - reflected,
+        "series": gamma_fn(s) - direct,
+    }.get(regime, complexfn._upper_cf(s, z))
+    lower = {
+        "series": direct, "left-disc": direct, "kummer": reflected,
+    }.get(regime, gamma_fn(s) - upper)
+    assert upper_gamma(s, z) == upper
+    assert lower_gamma(s, z) == lower
+
+
 # -------------------------------------------------- recurrence property suites
 
 def _draw_recurrence_sample(rng):

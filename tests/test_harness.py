@@ -28,6 +28,7 @@ from chebgamma import (
     run_case,
     run_sweep,
     series_sum,
+    upper_gamma,
 )
 from chebgamma import closedform
 from chebgamma import sweep as sweep_module
@@ -144,6 +145,15 @@ def test_report_json_shape():
     for entry in doc["cases"]:
         assert set(entry) >= {"case_id", "status", "rel_err", "tolerance"}
         assert "wall_time_ms" not in entry
+
+
+def test_json_report_names_the_worst_point():
+    # the parameters of the reported point, a complex one as [re, im]
+    report = run_case("kernel-recurrence", seed=3)
+    s, z = report.point
+    assert report.lhs_value == upper_gamma(s + 1, z)
+    entry = json.loads(render_report_json([report], 3))["cases"][0]
+    assert entry["point"] == [s, [z.real, z.imag]]
 
 
 def test_seed_changes_randomized_rows():
@@ -807,6 +817,30 @@ def test_reproduce_verification_exits_1_when_a_report_moved(tmp_path, capsys):
     assert f"seed 3 {case['case_id']} rel_err: relative change 0.5\n" in out
     assert f'seed 3 {case["case_id"]} status: "fail" -> "pass"\n' in out
     assert verify.parse_seeds("0..2,7") == [0, 1, 2, 7]
+
+
+def test_reproduce_verification_tells_a_moved_worst_point(tmp_path, capsys):
+    # a field of a case whose worst point moved reads "at another point";
+    # one of a case whose worst point held does not
+    verify = _script("reproduce_verification")
+    reports = tmp_path / "reports"
+    argv = ["--seeds", "3"]
+    assert verify.main(argv + ["--dump", str(reports)]) == 0
+    dump = reports / "report-3.json"
+    doc = json.loads(dump.read_text())
+    moved, held = doc["cases"][4], doc["cases"][5]
+    point = json.dumps(moved["point"])
+    moved["point"][0] += 1.0
+    for case in (moved, held):
+        case["rel_err"] *= 2.0
+    dump.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert verify.main(argv + ["--against", str(reports)]) == 1
+    out = capsys.readouterr().out
+    assert "3 (seed, case, field) entries moved" in out
+    assert f"seed 3 {moved['case_id']} point: {json.dumps(moved['point'])} -> {point}\n" in out
+    assert f"seed 3 {moved['case_id']} rel_err: relative change 0.5, at another point\n" in out
+    assert f"seed 3 {held['case_id']} rel_err: relative change 0.5\n" in out
 
 
 def test_cli_missing_config_exits_2(capsys):

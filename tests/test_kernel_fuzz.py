@@ -21,7 +21,12 @@ forms need it most:
 * Re s in [10, 300], |Im s| <= Re s, within 1e-12 of the edge of that
   pocket on either side, where the direct series hands over to the
   continued fraction: each route on both sides, and the two against
-  each other.
+  each other;
+* the lower gamma(s, w) for |s| in [0.5, 200], real of either sign or
+  complex within 45 degrees of the real axis, and w at any angle with
+  |w| from 0.05 to 2|s|.  Past 45 degrees, left of the imaginary axis,
+  it inherits the continued fraction's open defect, which strict xfails
+  hold in view.
 
 The last check holds the one scaling step e^a e^b sum of every regime to
 the rounding of its folded exponent where it switches from the split form
@@ -41,7 +46,7 @@ import random
 
 import pytest
 
-from chebgamma import PoleError, complexfn, exp_integral_e, upper_gamma
+from chebgamma import PoleError, complexfn, exp_integral_e, lower_gamma, upper_gamma
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -218,6 +223,57 @@ def test_both_routes_match_mpmath_at_the_edge_of_the_series_pocket():
             assert rel(series, fraction) <= 1e-10, (s, w, series, fraction)
             checked += 1
     assert checked >= 40
+
+
+def lower_reference(s, w):
+    # gamma(s, w) = w^s M(s, s + 1, -w) / s (DLMF 8.5.1); mpmath's own
+    # gammainc(s, 0, w) can stall for minutes at small |w| left of the axis
+    with mpmath.workdps(40):
+        s, w = mpmath.mpc(s), mpmath.mpc(w)
+        return complex(mpmath.power(w, s) / s * mpmath.hyp1f1(s, s + 1, -w))
+
+
+def lower_draws(seed, count):
+    """|s| in [0.5, 200], real off the poles or within 45 degrees of the axis."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        size = log_uniform(rng, 0.5, 200.0)
+        if len(pairs) % 2:
+            s = complex(rng.choice((-size, size)), 0.0)
+            if s.real < 0.0 and abs(s.real - round(s.real)) < 1e-6:
+                continue
+        else:
+            angle = rng.choice((0.0, math.pi)) + rng.uniform(-math.pi / 4, math.pi / 4)
+            s = cmath.rect(size, angle)
+        pairs.append((s, any_angle(rng, log_uniform(rng, 0.05, 2.0 * size))))
+    return pairs
+
+
+# Points that the wrong series gets wrong with no flag: Kummer's series
+# cancels like e^(|w| + Re w) left of the axis (the last point overflows
+# it), and the direct series loses every digit at Re s < 0 once |w| is
+# well past 1.
+LOWER_MISSES = ((50.0, -10 + 60j), (30.0, -1 + 40j), (-116.36, 51.07 + 161.44j),
+                (125.43, -2.36 + 182.79j))
+
+
+def test_lower_gamma_matches_mpmath():
+    # a 6000-draw probe of this domain found 2.4e-13 at worst
+    pairs = list(LOWER_MISSES) + lower_draws(14, 1000)
+    assert assert_matches(pairs, lower_gamma, lower_reference, 1e-11) >= 900
+
+
+@pytest.mark.xfail(strict=True, reason="the continued fraction is wrong left of the "
+                   "imaginary axis at these orders, in upper_gamma too (module docstring "
+                   "of complexfn)")
+@pytest.mark.parametrize("s, w", [
+    (-53.0 + 60.26j, -85.7 + 32.27j),   # off by 536; Kummer's series gives 4e-14
+    (22.55 + 164.8j, -170.4 + 108.4j),  # off by 3.2e-3
+    (-31.0 - 145.8j, -38.0 - 67.2j),    # off by 4.3e8
+])
+def test_lower_gamma_at_steep_complex_orders_left_of_the_axis(s, w):
+    assert rel(lower_gamma(s, w), lower_reference(s, w)) <= 1e-11
 
 
 def test_split_and_folded_scaling_agree_at_the_switch():
