@@ -44,6 +44,7 @@ from typing import Optional
 from ._flags import BRANCH_SENSITIVE, checked, collect, flag
 from .complexfn import (
     cexp,
+    clog,
     cpow,
     csqrt,
     erfc_complex,
@@ -188,16 +189,26 @@ def _root_pair(z: complex, k: complex, x: complex) -> tuple:
 
     Returns (s, roots) with s = sqrt(1-x^2) and, for the roots X = x - i s
     and x + i s in that order, the factors (e^(z X), X^(-k-2), G(k+2),
-    X^(-k-1), G(k+1), X^(-k), G(k)) with G(t) = Gamma(t, z X).
+    X^(-k-1), G(k+1), X^(-k), G(k)) with G(t) = Gamma(t, z X).  The three
+    powers share one logarithm: X^t = cexp(t clog(X)), exactly what
+    ``cpow`` computes, with clog(X) taken once per root.  X = 0 has no
+    logarithm and keeps ``cpow``.
     """
     s = csqrt(1.0 - x * x)
     roots = []
     for big_x in (x - 1j * s, x + 1j * s):
         zx = z * big_x
+        if big_x == 0:
+            roots.append((cexp(zx),
+                          cpow(big_x, -k - 2), upper_gamma(k + 2, zx),
+                          cpow(big_x, -k - 1), upper_gamma(k + 1, zx),
+                          cpow(big_x, -k), upper_gamma(k, zx)))
+            continue
+        log_x = clog(big_x)
         roots.append((cexp(zx),
-                      cpow(big_x, -k - 2), upper_gamma(k + 2, zx),
-                      cpow(big_x, -k - 1), upper_gamma(k + 1, zx),
-                      cpow(big_x, -k), upper_gamma(k, zx)))
+                      cexp((-k - 2) * log_x), upper_gamma(k + 2, zx),
+                      cexp((-k - 1) * log_x), upper_gamma(k + 1, zx),
+                      cexp(-k * log_x), upper_gamma(k, zx)))
     return s, tuple(roots)
 
 

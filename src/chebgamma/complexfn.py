@@ -151,6 +151,20 @@ def _narrow(x):
     return x.real if x.imag == 0.0 else x
 
 
+def _narrow_arg(value, name: str):
+    # _narrow(_as_complex(value, name)) in one step: one finiteness test for
+    # a complex or float value, the full conversion for anything else.
+    if type(value) is complex:
+        if value.imag == 0.0:
+            if math.isfinite(value.real):
+                return value.real
+        elif cmath.isfinite(value):
+            return value
+    elif type(value) is float and math.isfinite(value):
+        return value
+    return _narrow(_as_complex(value, name))
+
+
 def clog(z: complex) -> complex:
     """Principal log with arg z = +pi on the negative real axis."""
     return cmath.log(_narrow(z))
@@ -438,7 +452,8 @@ def _upper_cf(s: complex, z: complex) -> complex:
         h *= delta
         if abs(delta - 1.0) < _CF_TOL:
             # no fold where h can be wrong (module docstring)
-            a = s * clog(z) - z
+            # z is already narrowed, so cmath.log is clog here
+            a = s * cmath.log(z) - z
             return cexp(a) * h if z.real < 0.0 and abs(z) < abs(s) else _scaled(h, a)
     raise NonConvergenceError(
         f"continued fraction for upper gamma did not converge at s={s}, z={z}"
@@ -467,8 +482,8 @@ def upper_gamma(s, z) -> complex:
     approached from above (arg z = +pi).  See the module docstring for
     the regime map.
     """
-    s = _narrow(_as_complex(s, "s"))
-    z = _narrow(_as_complex(z, "z"))
+    s = _narrow_arg(s, "s")
+    z = _narrow_arg(z, "z")
     if z == 0:
         if s.real > 0:
             return gamma_fn(s)
@@ -493,8 +508,8 @@ def lower_gamma(s, z) -> complex:
 
     See the module docstring for the regime map.
     """
-    s = _narrow(_as_complex(s, "s"))
-    z = _narrow(_as_complex(z, "z"))
+    s = _narrow_arg(s, "s")
+    z = _narrow_arg(z, "z")
     if _nearest_nonpos_int(s) is not None:
         raise PoleError(f"lower_gamma has a pole in s at {s}")
     if z == 0:

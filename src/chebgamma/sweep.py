@@ -24,28 +24,35 @@ them, and kernel work per block grows with n_alpha + n_beta, not
 n_alpha * n_beta.  Blocks are independent pure evaluations, so a
 concurrent sweep would split the grid by block; this implementation
 evaluates sequentially, which already makes the output deterministic.
-Each point opens one flag scope and is buffered as one tuple in column
-order; JSON rows are keyed by column only when written.  The rows are
-then streamed over the output file's old bytes, and only a longer old
-tail is trimmed (``_open_in_place``): a rerun into an existing file
-leaves exactly the new bytes without paying for a truncate to zero
-first.  Points
-that land on a singular parameter set are reported as
-``skipped-with-warning`` rows rather than aborting the sweep.  CSV
-numbers are written with ``"%.17g" %`` (the text of ``format(x,
-".17g")``), 17 significant digits, so a parsed-back grid is
-bit-identical.
+Each point opens one flag scope and is buffered as one tuple of the
+columns past its eight coordinates, in column order.  The rows follow
+the product order of the axes, so the writer takes the coordinates from
+that product beside the buffered results.  A CSV file gets its header as
+one constant line; each grid value's two coordinate cells are formatted
+once per sweep, and the rows are rendered into one string per batch of
+at most 4096 rows, written with one ``write`` call per batch.  A
+warnings cell holding a comma, a quote or a line break is quoted by
+``csv.writer``.  JSON rows are keyed by column only when written.
+Either format is written over the output file's old bytes, and only a
+longer old tail is trimmed (``_open_in_place``): a rerun into an
+existing file leaves exactly the new bytes without paying for a
+truncate to zero first.  Points that land on a singular parameter set
+are reported as ``skipped-with-warning`` rows rather than aborting the
+sweep.  CSV numbers are written with ``"%.17g" %`` (the text of
+``format(x, ".17g")``), 17 significant digits, so a parsed-back grid is
+bit-identical, signed zeros included.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
-import math
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice, product
 from typing import Optional
 
 from ._flags import collect
@@ -195,10 +202,11 @@ _SKIPPED = (SingularParameterError, KernelDomainError, ConfigError)
 
 
 def _evaluate_point(a, k, alpha, beta, config):
-    """One grid point -> (row, skipped).
+    """One grid point -> (result, skipped).
 
-    The row is a tuple in SWEEP_COLUMNS order: a float or None for each
-    numeric column, then the warnings text.
+    The result is the row past its eight coordinate columns, a tuple in
+    SWEEP_COLUMNS order: a float or None for each numeric column, then
+    the warnings text.
     """
     series = closed = (None, None)
     series_err = rel_diff = None
@@ -224,9 +232,7 @@ def _evaluate_point(a, k, alpha, beta, config):
     elif series_value is not None and closed_value is not None:
         denom = max(abs(series_value), abs(closed_value), 1e-300)
         rel_diff = abs(series_value - closed_value) / denom
-    row = (a.real, a.imag, k.real, k.imag, alpha.real, alpha.imag, beta.real, beta.imag,
-           *series, series_err, *closed, rel_diff, "; ".join(notes))
-    return row, skip is not None
+    return (*series, series_err, *closed, rel_diff, "; ".join(notes)), skip is not None
 
 
 def _keep_old_bytes(path, flags):
@@ -253,6 +259,36 @@ def _open_in_place(path, newline=None):
                 fh.truncate()
 
 
+# csv.writer leaves a text cell without these characters as it is.
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+_CSV_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
+# Rows rendered into one string per write.
+_CSV_BATCH = 4096
+
+
+def _csv_text(text):
+    """The CSV cell of a text, quoted by csv.writer where it may need it."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,))
+    return buf.getvalue()[:-1]
+
+
+def _csv_rows(config, results):
+    """The CSV lines of the grid's rows, in the order of results.
+
+    Each grid value's two coordinate cells are formatted once; the rows
+    follow the product order of the axes, as run_sweep evaluates them.
+    Numbers are written as "%.17g" % x, the text of format(x, ".17g").
+    """
+    cells = [["%.17g,%.17g" % (v.real, v.imag) for v in axis]
+             for axis in (config.a, config.k, config.alpha, config.beta)]
+    for coords, result in zip(product(*cells), results):
+        yield ",".join((*coords, *["" if x is None else "%.17g" % x for x in result[:-1]],
+                        _csv_text(result[-1]))) + "\n"
+
+
 def run_sweep(config: SweepConfig) -> SweepSummary:
     """Evaluate the full grid and write one row per point.
 
@@ -260,29 +296,30 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     evaluated (singular or out-of-domain parameters), and the output
     path.  IO errors propagate to the caller.
     """
-    rows = []
+    results = []
     failures = 0
     for a in config.a:
         for k in config.k:
             with _shared_root_pairs():
                 for alpha in config.alpha:
                     for beta in config.beta:
-                        row, skipped = _evaluate_point(a, k, alpha, beta, config)
+                        result, skipped = _evaluate_point(a, k, alpha, beta, config)
                         failures += skipped
-                        rows.append(row)
+                        results.append(result)
 
     if config.format == "csv":
         with _open_in_place(config.output_path, newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SWEEP_COLUMNS)
-            # "%.17g" % x is format(x, ".17g"): 17 digits round-trip a double
-            writer.writerows(
-                ["" if x is None else "%.17g" % x for x in row[:-1]] + [row[-1]]
-                for row in rows)
+            fh.write(_CSV_HEADER)
+            lines = _csv_rows(config, results)
+            while batch := "".join(islice(lines, _CSV_BATCH)):
+                fh.write(batch)
     else:
+        points = product(config.a, config.k, config.alpha, config.beta)
         with _open_in_place(config.output_path) as fh:
-            json.dump({"rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]},
-                      fh, indent=2)
+            json.dump({"rows": [
+                dict(zip(SWEEP_COLUMNS, (a.real, a.imag, k.real, k.imag, alpha.real,
+                                         alpha.imag, beta.real, beta.imag, *result)))
+                for (a, k, alpha, beta), result in zip(points, results)]}, fh, indent=2)
             fh.write("\n")
-    return SweepSummary(points_evaluated=len(rows), failures=failures,
+    return SweepSummary(points_evaluated=len(results), failures=failures,
                         output_path=config.output_path)

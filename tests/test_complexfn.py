@@ -70,6 +70,17 @@ def test_kernels_take_complex_scalars_and_refuse_non_finite_ones():
     for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), math.inf, "x", None):
         with pytest.raises(KernelDomainError):
             log_gamma(bad)
+    # both incomplete gammas, in each argument position; w = -3-0i sits on
+    # the cut, which a subclass must read from the same side
+    for kernel in (upper_gamma, lower_gamma):
+        for s, w in ((2.5, 1.5), (2.5 + 0.5j, 1.5 - 0.25j), (2.5, complex(-3.0, -0.0))):
+            want = _bits(kernel(complex(s), complex(w)))
+            assert _bits(kernel(Sub(s), w)) == _bits(kernel(s, Sub(w))) == want
+            for bad in (math.nan, complex(math.nan, 0.0), complex(0.0, math.inf), math.inf,
+                        "x", None):
+                for args in ((bad, w), (s, bad)):
+                    with pytest.raises(KernelDomainError):
+                        kernel(*args)
 
 
 def test_gamma_fn_real_axis_is_real():

@@ -392,6 +392,38 @@ def test_sweep_into_a_pipe(tmp_path):
     assert received == [plain.read_bytes()]
 
 
+def test_sweep_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
+    # 66 x 64 points: more than one batch of rows, and far more than the
+    # 64 KiB a pipe buffers.  alpha repeats 0.3 and holds 0.0 and -0.0,
+    # whose coordinate cells must keep each its own sign.
+    alpha = (0j, complex(-0.0, -0.0), 0.3 + 0j, 0.3 + 0j) + tuple(
+        complex(-0.95 + 0.03 * i, 0.0) for i in range(62))
+    beta = tuple(complex(0.9 - 0.028 * i, 0.01 * (i % 3)) for i in range(64))
+    grid = dict(a=(20.0 / math.pi + 0j,), k=(2.5 + 0j,), alpha=alpha, beta=beta, mode="closed")
+    assert len(alpha) * len(beta) > sweep_module._CSV_BATCH
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    run_sweep(SweepConfig(output_path=str(fifo), **grid))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    run_sweep(SweepConfig(output_path=str(plain), **grid))
+    assert len(received[0]) > 64 * 1024
+    assert received == [plain.read_bytes()]
+    with open(plain, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(SWEEP_COLUMNS)
+    points = [(va, val, vb) for va in grid["a"] for val in alpha for vb in beta]
+    assert len(rows) == len(points)
+    for row, (va, val, vb) in zip(rows, points):
+        values = (va.real, va.imag, 2.5, 0.0, val.real, val.imag, vb.real, vb.imag)
+        assert row[:8] == ["%.17g" % v for v in values]
+    assert rows[0][4:6] == ["0", "0"]
+    assert rows[len(beta)][4:6] == ["-0", "-0"]
+
+
 def test_new_sweep_file_gets_the_permission_bits_of_open_w(tmp_path):
     old_umask = os.umask(0o027)
     try:
@@ -794,6 +826,36 @@ def test_sweep_fingerprint_exits_1_when_a_row_moved(tmp_path, capsys):
     capsys.readouterr()
     assert sweeps.main(argv + ["--against", str(rows)]) == 1
     assert "1 of 1280 rows changed" in capsys.readouterr().out
+
+
+def test_bench_pairs_verdict_follows_the_pair_rule():
+    pairs = _script("bench_pairs")
+    parent = [100.0, 100.2, 99.8, 100.4, 99.6, 100.1, 99.9, 100.3, 99.7, 100.0]
+    # parent quartiles 99.825 and 100.175: an IQR of 0.35
+    faster = [p - 3.0 for p in parent]
+    assert pairs.wins(parent, faster, "lower") == 10
+    assert pairs.verdict(parent, faster, "lower", 0.15) == "gain"
+    assert pairs.verdict(parent, faster, "higher", 0.15) == "flat"
+    # nine wins of ten still make a gain, eight do not
+    nine = faster[:9] + [101.0]
+    assert pairs.wins(parent, nine, "lower") == 9
+    assert pairs.verdict(parent, nine, "lower", 0.15) == "gain"
+    eight = faster[:8] + [101.0, 101.0]
+    assert pairs.verdict(parent, eight, "lower", 0.15) == "flat"
+    # every pair won, but by less than the parent's IQR
+    assert pairs.verdict(parent, [p - 0.3 for p in parent], "lower", 0.15) == "flat"
+    # worse by more than the bound, in either direction of better
+    assert pairs.verdict(parent, [p * 1.2 for p in parent], "lower", 0.15) == "regression"
+    assert pairs.verdict(parent, [p * 1.1 for p in parent], "lower", 0.15) == "flat"
+    assert pairs.verdict(parent, [p * 0.99 for p in parent], "higher", 0.005) == "regression"
+    # a spread wider than the bound leaves a small move unresolved, unless
+    # every run of the change reads better than every run of the parent
+    wide = [80.0, 120.0] * 5
+    assert pairs.verdict(wide, [79.0, 119.0] * 5, "lower", 0.15) == "unresolved"
+    assert pairs.verdict(wide, [70.0, 79.0] * 5, "lower", 0.15) == "flat"
+    # a tie counts for neither side
+    assert pairs.wins([1.0, 2.0], [1.0, 1.0], "lower") == 1
+    assert pairs.quartiles([5.0]) == (5.0, 5.0, 5.0)
 
 
 def test_reproduce_verification_exits_1_when_a_report_moved(tmp_path, capsys):
