@@ -16,9 +16,11 @@ draw the same result to the bit.
 a dump, made by another checkout with the same ``--seed`` and
 ``--draws``, and reports which draws moved and in which fields, how many
 moved draws have a value or error estimate that moved from or to a
-finite reading (0 when only non-finite readings moved), and each moved
-draw's point and its old and new fields.  It exits with status 1 when any
-draw moved and 0 when none did.
+finite reading (0 when only non-finite readings moved), the largest
+relative change of the value and of the error estimate over the moved
+draws that read finite on both sides ("-" where none does), and each
+moved draw's point and its old and new fields.  It exits with status 1
+when any draw moved and 0 when none did.
 
 Usage:
     python scripts/series_fingerprint.py
@@ -135,6 +137,16 @@ def _finite(cell: str) -> bool:
         return False
 
 
+def _relative_change(old: str, new: str):
+    # None unless both cells read finite
+    if not (_finite(old) and _finite(new)):
+        return None
+    before, after = complex(old), complex(new)
+    if before == after:
+        return 0.0
+    return abs(after - before) / abs(before) if before else math.inf
+
+
 def _parse(line: str) -> dict:
     cells = line.rstrip("\n").split("\t")
     return dict(zip(("index",) + POINT_FIELDS + RESULT_FIELDS, cells))
@@ -166,6 +178,12 @@ def compare(old_lines, new_lines) -> tuple:
     if fields:
         report.append("draws moved per field: " + ", ".join(
             f"{f} {n}" for f, n in sorted(fields.items())))
+        largest = []
+        for f in ("value", "error"):
+            changes = [_relative_change(old[f], new[f]) for new, _, old in moved]
+            changes = [c for c in changes if c is not None]
+            largest.append(f"{f} {max(changes):.3g}" if changes else f"{f} -")
+        report.append("largest relative change: " + ", ".join(largest))
     for new, changed, old in moved:
         point = " ".join(f"{f}={new[f]}" for f in POINT_FIELDS)
         report.append(f"draw {new['index']}: {point}")

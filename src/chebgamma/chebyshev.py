@@ -3,8 +3,8 @@
 The double series this package evaluates couples two Chebyshev families
 through the total degree q = n + p; collapsing the double sum to a single
 sum needs the shell coefficients C_q = sum_{n=0}^{q} T_n(alpha)
-T_{q-n}(beta).  One stream yields them in order at O(1) work per shell
-past a short direct start (``_shell_stream``).  Everything here accepts
+T_{q-n}(beta).  One stream yields them in order at O(1) work per shell,
+from a two-term recurrence (``_shell_stream``).  Everything here accepts
 arbitrary complex argument: the three-term recurrence is forward-stable
 for the growing branch, which is exactly what arguments outside [-1, 1]
 need.  The stream starts from float ones and zeros, so real arguments
@@ -52,25 +52,19 @@ class ShellCoefficient:
     value: complex
 
 
-# Shells below this come from the pairwise convolution, so every sum that
-# stops by shell 15 (exact orders up to 15 among them) keeps the
-# convolution's values bit for bit; the recurrence starts from its last two.
-_DIRECT_SHELLS = 16
-
-
 def _drive_key(x: complex) -> tuple:
-    # Orders the two arguments by growth radius, ties by (Re, Im) and then
-    # the signs of zero, so the pair picks the same driver in either order.
-    return (growth_radius(x), x.real, x.imag,
+    # Orders the two arguments by growth radius rho: x lies on the
+    # Bernstein ellipse of radius rho with foci +-1, whose focal distances
+    # sum to rho + 1/rho, rising with rho.  Ties (radii too close to part
+    # that sum, as near rho = 1, where either driver grows alike) go by
+    # (Re, Im) and then the signs of zero, so the pair picks the same
+    # driver in either order.
+    return (abs(x - 1.0) + abs(x + 1.0), x.real, x.imag,
             math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
 
 
 def _shell_stream(alpha: complex, beta: complex):
     """Yield C_0, C_1, C_2, ... at (alpha, beta), without end.
-
-    The first shells are the convolution itself, on T rows grown by one
-    element per shell.  Pairs (n, q-n) and (q-n, n) are summed together,
-    so swapping alpha and beta permutes commutative operations only.
 
     The shells' generating function is the product of the two Chebyshev
     ones, so (1 - 2 h t + t^2) sum_q C_q t^q = (1 - h t) sum_n T_n(d) t^n
@@ -78,34 +72,24 @@ def _shell_stream(alpha: complex, beta: complex):
 
         C_{q+1} = 2 h C_q - C_{q-1} + T_{q+1}(d) - h T_q(d).
 
-    Past the direct start it runs from the convolution's last two shells,
-    with the argument of larger growth radius as the driver d (ties by
-    ``_drive_key``): the homogeneous part then grows no faster than C
-    itself, and swapping alpha and beta runs the same arithmetic, so C_q
-    stays bit-identical under the swap.  Unlike the four-term recurrence
-    on C alone, it does not lose accuracy where the roots of the two
-    factors nearly coincide.
+    C_0 = 1 and C_1 = alpha + beta (added to a float zero, so that a zero
+    part reads +0.0 whatever its sign in alpha and beta); from shell 2 on
+    the recurrence runs with the argument of larger growth radius as the
+    driver d (ties by ``_drive_key``): the homogeneous part then grows no
+    faster than C itself, and swapping alpha and beta runs the same
+    arithmetic, so C_q stays bit-identical under the swap.  Unlike the
+    four-term recurrence on C alone, it does not lose accuracy where the
+    roots of the two factors nearly coincide.
     """
-    ta, tb = [1.0, alpha], [1.0, beta]
-    two_a, two_b = 2.0 * alpha, 2.0 * beta
-    c0 = c1 = 0.0
-    for q in range(_DIRECT_SHELLS):
-        if q > 1:
-            ta.append(two_a * ta[-1] - ta[-2])
-            tb.append(two_b * tb[-1] - tb[-2])
-        total = 0.0
-        for n in range((q + 1) // 2):
-            total += ta[n] * tb[q - n] + ta[q - n] * tb[n]
-        if q % 2 == 0:
-            total += ta[q // 2] * tb[q // 2]
-        c0, c1 = c1, total
-        yield total
-    row, two_d, h, two_h = ta, two_a, beta, two_b
+    c0, c1 = 1.0, 0.0 + (alpha + beta)
+    yield c0
+    yield c1
+    d, h = alpha, beta
     if _drive_key(beta) > _drive_key(alpha):
-        row, two_d, h, two_h = tb, two_b, alpha, two_a
+        d, h = beta, alpha
+    two_d, two_h = 2.0 * d, 2.0 * h
     # T_{q-1} and T_q of the driver, for the next shell q
-    t0 = row[-1]
-    t1 = two_d * t0 - row[-2]
+    t0, t1 = d, two_d * d - 1.0
     while True:
         c0, c1 = c1, two_h * c1 - c0 + t1 - h * t0
         yield c1

@@ -140,7 +140,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        config = parse_sweep_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config!r} is not valid text: {exc}") from None
+    config = parse_sweep_config(text)
     summary = run_sweep(config)
     print(f"points = {summary.points_evaluated}")
     print(f"failures = {summary.failures}")

@@ -15,11 +15,11 @@ the error), which is the reading under which large-|a pi| evaluations
 agree with the closed form to near machine precision.
 
 Both loops below read C_q from the shell stream of the ``chebyshev``
-module (a direct convolution for the first 16 shells, then one two-term
-recurrence driven by the argument of larger growth radius, so that a
-swap of alpha and beta keeps every bit) and step the weight and z^(-q)
-by one factor each, so every shell costs O(1) work and a sum through Q
-shells costs O(Q).
+module (C_0 = 1 and C_1 = alpha + beta, then one two-term recurrence
+driven by the argument of larger growth radius, so that a swap of alpha
+and beta keeps every bit) and step the weight and z^(-q) by one factor
+each, so every shell costs O(1) work and a sum through Q shells costs
+O(Q).
 
 There are two truncation modes.  ``optimal``, the default, sums a
 terminating k through shell k with no early stop, and stops any other k

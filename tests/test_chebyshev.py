@@ -1,5 +1,6 @@
 """Chebyshev evaluation and the shell convolution coefficients."""
 
+import cmath
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebgamma import KernelDomainError, cheb_t, growth_radius, shell_coeff, shell_values
+from chebgamma.chebyshev import _drive_key
 from oracles import cheb_poly_direct, shell_values_exact
 
 
@@ -155,9 +157,9 @@ def _outside_pair(rng):
 @pytest.mark.parametrize("draw", [_coincident_pair, _near_one_pair, _outside_pair])
 def test_deep_shells_match_exact_oracle(draw):
     # Every C_q through q = 200 within 64 eps of sum_n |T_n T_{q-n}|: the
-    # recurrence past the direct start measures up to ~25 eps here, the
-    # four-term recurrence on C alone ~1e4 eps (near-coincident roots,
-    # arguments near +-1 and outside [-1, 1] alike).
+    # two-term recurrence measures up to ~25 eps here, the four-term
+    # recurrence on C alone ~1e4 eps (near-coincident roots, arguments
+    # near +-1 and outside [-1, 1] alike).
     rng = random.Random(26)
     q_max = 200
     for _ in range(2):
@@ -192,12 +194,12 @@ def _pair_beside(rng, x):
 ], ids=["inside", "outside", "inside-outside", "outside-inside",
         "coincident-inside", "coincident-outside"])
 def test_stream_past_the_direct_start_matches_exact_oracle(draw):
-    # Shells 16..200 come from the two-term recurrence; whichever argument
+    # Shells 2..200 come from the two-term recurrence; whichever argument
     # drives it, each C_q stays within 64 eps of sum_n |T_n T_{q-n}|.
     alpha, beta = draw(random.Random(27))
     exact, scales = shell_values_exact(200, alpha, beta)
     got = shell_values(200, alpha, beta)
-    for q in range(16, 201):
+    for q in range(2, 201):
         err = abs(Fraction(got[q].real) - exact[q])
         assert err <= 64 * sys.float_info.epsilon * scales[q], (alpha, beta, q)
 
@@ -218,24 +220,6 @@ def test_shell_swap_is_bit_identical_through_shell_200():
         ba = shell_values(200, beta, alpha)
         assert [(repr(v.real), repr(v.imag)) for v in ab] == \
                [(repr(v.real), repr(v.imag)) for v in ba], (alpha, beta)
-
-
-def test_direct_start_is_the_pairwise_convolution_bit_for_bit():
-    # Shells 0..15 sum the pairs (n, q-n) and (q-n, n) together, then the
-    # middle term, on the recurrence's own T values.
-    rng = random.Random(29)
-    for _ in range(20):
-        alpha = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        beta = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        ta = [cheb_t(n, alpha) for n in range(16)]
-        tb = [cheb_t(n, beta) for n in range(16)]
-        for q, got in enumerate(shell_values(15, alpha, beta)):
-            total = 0j
-            for n in range((q + 1) // 2):
-                total += ta[n] * tb[q - n] + ta[q - n] * tb[n]
-            if q % 2 == 0:
-                total += ta[q // 2] * tb[q // 2]
-            assert (repr(got.real), repr(got.imag)) == (repr(total.real), repr(total.imag))
 
 
 # ---------------------------------------------------------- growth radius
@@ -296,3 +280,42 @@ def test_growth_radius_matches_mpmath_past_the_overflow_of_x_squared():
             if ref > sys.float_info.max:
                 continue
             assert abs(growth_radius(x) - ref) <= 4 * sys.float_info.epsilon * ref, x
+
+
+def _near_unit(rng):
+    side, d = rng.choice((-1.0, 1.0)), 10.0 ** rng.uniform(-16.0, -4.0)
+    return rng.choice((side * (1.0 + d), side * (1.0 - d), side + 1j * d,
+                       side + d * cmath.exp(1j * rng.uniform(-math.pi, math.pi))))
+
+
+def _at_angle(rng, lo, hi):
+    return 10.0 ** rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def test_drive_key_ranks_arguments_by_growth_radius():
+    # The first entry of the key, |x - 1| + |x + 1|, is rho + 1/rho.  Near
+    # rho = 1 it rises only by about 2 (rho - 1) per unit of rho, so radii
+    # a relative 8 eps apart can round to the same sum and the tie-break
+    # decides; either driver then grows alike, and such pairs are left
+    # out.  So is |x| past about 9e307, where the sum overflows to inf:
+    # the draws stop at 1e307, past the overflow of x^2 at 1.34e154.
+    eps = sys.float_info.epsilon
+    draws = [lambda rng: complex(rng.uniform(-1.0, 1.0)),
+             lambda rng: complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 6.0)),
+             lambda rng: _at_angle(rng, -3.0, 6.0),
+             _near_unit,
+             lambda rng: _at_angle(rng, 150.0, 307.0)]
+    rng = random.Random(44)
+    checked = 0
+    for _ in range(20000):
+        ranked = []
+        for x in (rng.choice(draws)(rng), rng.choice(draws)(rng)):
+            rho = growth_radius(x)
+            key = _drive_key(x)
+            assert abs(key[0] - (rho + 1.0 / rho)) <= 4 * eps * key[0], x
+            ranked.append((rho, rho + 1.0 / rho, key, x))
+        for (rx, sx, kx, x), (ry, sy, ky, y) in (ranked, ranked[::-1]):
+            if rx > ry * (1 + 8 * eps) and sx > sy * (1 + 8 * eps):
+                checked += 1
+                assert kx > ky, (x, y)
+    assert checked > 15000

@@ -802,11 +802,14 @@ def test_series_fingerprint_exits_1_when_a_draw_moved(tmp_path, capsys):
     assert series.main(argv + ["--against", str(dump)]) == 0
     lines = dump.read_text().splitlines(keepends=True)
     cells = lines[3].split("\t")
+    value = complex(cells[1 + len(series.POINT_FIELDS)])
     cells[1 + len(series.POINT_FIELDS)] = "(0.5+0j)"  # the value field
     lines[3] = "\t".join(cells)
     dump.write_text("".join(lines))
     assert series.main(argv + ["--against", str(dump)]) == 1
-    assert "1 of 30 draws moved" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1 of 30 draws moved" in out
+    assert f"largest relative change: value {abs(value - 0.5) / 0.5:.3g}, error 0\n" in out
 
 
 def test_sweep_fingerprint_exits_1_when_a_row_moved(tmp_path, capsys):
@@ -905,7 +908,14 @@ def test_reproduce_verification_tells_a_moved_worst_point(tmp_path, capsys):
     assert f"seed 3 {held['case_id']} rel_err: relative change 0.5\n" in out
 
 
-def test_cli_missing_config_exits_2(capsys):
+def test_cli_missing_config_exits_2(capsys, tmp_path):
     rc = main(["sweep", "--config", "/nonexistent/path.cfg"])
     assert rc == 2
     assert capsys.readouterr().err
+    # a file that does not decode as text is a config error too
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfegrid = 1\n")
+    rc = main(["sweep", "--config", str(binary)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(binary) in err

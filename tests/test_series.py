@@ -25,7 +25,7 @@ from chebgamma import (
     shell_values,
 )
 from chebgamma._flags import collect
-from chebgamma.chebyshev import _DIRECT_SHELLS, _shell_stream
+from chebgamma.chebyshev import _shell_stream
 from oracles import double_sum_direct, finite_series_exact
 
 E4 = math.exp(4.0)
@@ -128,9 +128,9 @@ def test_swap_symmetry_one_ulp():
 
 
 def test_deep_shells_keep_symmetry_and_agree():
-    # Shells past the direct start come from the recurrence stream; swapping
-    # alpha and beta must still be bit-identical, single shells must read
-    # the same stream, and a deep exact sum must match the enumeration.
+    # Deep shells come from the recurrence stream; swapping alpha and beta
+    # must still be bit-identical, single shells must read the same
+    # stream, and a deep exact sum must match the enumeration.
     rng = random.Random(37)
     for _ in range(12):
         k = float(rng.randint(60, 170))
@@ -141,7 +141,7 @@ def test_deep_shells_keep_symmetry_and_agree():
             va = fn(params(alpha, beta, k, z)).value
             vb = fn(params(beta, alpha, k, z)).value
             assert math.isfinite(abs(va)) and va == vb
-        q = rng.randrange(_DIRECT_SHELLS, 4 * _DIRECT_SHELLS)
+        q = rng.randrange(16, 64)
         assert shell_coeff(q, alpha, beta).value == shell_values(q, alpha, beta)[q]
     alpha, beta, k, z = 0.35, -0.6, 120, 150.0
     res = series_sum(params(alpha, beta, float(k), z))
@@ -268,11 +268,11 @@ def test_error_estimate_bounds_closed_form_deviation():
      (0.127779436 + 0j, 0.0, 6, "terminated-exactly", frozenset())),
     # exact bound q = 40 lies past the shell budget
     (series_sum, (0.3, -0.55, 40.0, 20.0), "exact-if-terminating", 8,
-     (-2.7619504092642613 + 0j, 48.44995155005789, 9, "budget-exhausted",
+     (-2.7619504092642604 + 0j, 48.44995155005789, 9, "budget-exhausted",
       frozenset())),
     # non-terminating k runs out of budget below the asymptotic regime
     (series_sum, (0.3, -0.55, 2.5, 0.5), "fixed", 6,
-     (-31.763229999999986 + 0j, 5040.000000000567, 7, "budget-exhausted",
+     (-31.763229999999975 + 0j, 5040.000000000567, 7, "budget-exhausted",
       frozenset({"not-in-asymptotic-regime"}))),
     # odd shells only: the error is read at the next odd shell, q = 7
     (difference_series, (2.0, 2.0, 2.5, 30.0), "fixed", 5,
