@@ -4,11 +4,14 @@
 Each pair runs ``perfbench/run.py --workload W --seed K --seconds S
 --trace 0`` once in the parent checkout and once in this one, one process
 at a time; even pairs run the parent first and odd pairs this checkout
-first.  Every run's end-to-end metrics are printed as it finishes.  Then,
-for each end-to-end metric of ``BENCHMARK.json``, the script prints both
-sides' medians and quartiles, the number of pairs this checkout won (a
-tie counts for neither side) and a verdict, judged with the metric's
-``better`` direction and ``bound``:
+first.  ``--workload`` takes one workload or a comma-separated list of
+them, run one after the other, all pairs of one before the next.  Every
+run's end-to-end metrics are printed as it finishes.  After each
+workload's pairs the script prints that workload's table, one row per
+end-to-end metric of ``BENCHMARK.json``: both sides' medians and
+quartiles, the number of pairs this checkout won (a tie counts for
+neither side) and a verdict, judged with the metric's ``better``
+direction and ``bound``:
 
 * ``regression``: this checkout's median is worse than the parent's by
   more than ``bound`` times the parent's median;
@@ -20,11 +23,12 @@ tie counts for neither side) and a verdict, judged with the metric's
   than every run of the parent;
 * ``flat``: anything else.
 
-The exit status is 1 when any metric is a regression and 0 otherwise.
+The exit status is 1 when any metric of any workload is a regression and
+0 otherwise.
 
 Usage:
-    python scripts/bench_pairs.py --parent ../parent --workload sweep-wide \\
-        --pairs 10 --seconds 30 --seed 1
+    python scripts/bench_pairs.py --parent ../parent \\
+        --workload verify,sweep-wide,sweep-deep --pairs 10 --seconds 30 --seed 1
 """
 
 from __future__ import annotations
@@ -71,36 +75,27 @@ def verdict(parent, change, better: str, bound: float) -> str:
     return "flat"
 
 
-def run_once(checkout: Path, args) -> dict:
-    """One benchmark run in checkout: metric name -> value."""
+def run_once(checkout: Path, workload: str, args) -> dict:
+    """One benchmark run of workload in checkout: metric name -> value."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, metavar="DIR",
-                        help="root of the parent checkout")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
+def compare(workload: str, sides: dict, metrics: list, args) -> bool:
+    """Run workload's pairs, print its runs and table; True if it regressed."""
     runs = {side: [] for side in sides}
     for i in range(args.pairs):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            values = run_once(sides[side], args)
+            values = run_once(sides[side], workload, args)
             runs[side].append(values)
-            print(f"pair {i + 1} {side:<6} " + " ".join(
+            print(f"{workload} pair {i + 1} {side:<6} " + " ".join(
                 f"{m['name']}={values[m['name']]:.6g}" for m in metrics), flush=True)
 
-    print(f"\n{args.workload} seed={args.seed} pairs={args.pairs} seconds={args.seconds}")
+    print(f"\n{workload} seed={args.seed} pairs={args.pairs} seconds={args.seconds}")
     print(f"{'metric':<18} {'better':<6} {'parent median [q1, q3]':<34} "
           f"{'change median [q1, q3]':<34} {'wins':<7} verdict")
     regressed = False
@@ -115,7 +110,25 @@ def main(argv=None) -> int:
                  for q in (quartiles(parent), quartiles(change))]
         print(f"{name:<18} {m['better']:<6} {cells[0]:<34} {cells[1]:<34} "
               f"{f'{won}/{args.pairs}':<7} {judged}")
-    return 1 if regressed else 0
+    print(flush=True)
+    return regressed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, metavar="DIR",
+                        help="root of the parent checkout")
+    parser.add_argument("--workload", required=True, metavar="W[,W...]",
+                        help="one workload, or a comma-separated list")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    # every workload runs, even after one has regressed
+    regressed = [compare(w, sides, metrics, args) for w in args.workload.split(",")]
+    return 1 if any(regressed) else 0
 
 
 if __name__ == "__main__":

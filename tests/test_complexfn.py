@@ -169,9 +169,10 @@ _SMALL_RADIUS = 1.5 * (1.0 + abs(_SMALL_S))
 
 
 @pytest.mark.parametrize("s, z, regime", [
-    # far along the cut: either side of |z| = 40 + 2|s|
-    (5.0, complex(-50.0, 1.0), "asymptotic"),
-    (5.0, complex(-49.9, 1.0), "kummer"),
+    # far along the cut: either side of |z| = 40 + 2|s| = 51, at an order
+    # upper_gamma takes no terminating sum at
+    (5.5, complex(-51.0, 1.0), "asymptotic"),
+    (5.5, complex(-50.9, 1.0), "kummer"),
     # next to the cut: either side of |z| + Re z = 4, on both halves
     (30.0, complex(-10.0, _NEAR_CUT_IM * (1.0 - 1e-9)), "kummer"),
     (30.0, complex(-10.0, _NEAR_CUT_IM * (1.0 + 1e-9)), "left-disc"),
@@ -206,6 +207,63 @@ def test_one_regime_map_serves_both_kernels(s, z, regime):
     }.get(regime, gamma_fn(s) - upper)
     assert upper_gamma(s, z) == upper
     assert lower_gamma(s, z) == lower
+
+
+def _upper_by(s, z, regime):
+    # Gamma(s, z) by the route one outcome of the map names
+    if regime in ("terminating", "asymptotic"):
+        return complexfn._upper_asymptotic(s, z)
+    if regime == "series":
+        return gamma_fn(s) - complexfn._lower_series_direct(s, z)
+    if regime == "kummer":
+        return gamma_fn(s) - complexfn._lower_series_reflected(s, z)
+    return complexfn._upper_cf(s, z)
+
+
+@pytest.mark.parametrize("s, z, shared, upper", [
+    # the asymptotic regime keeps its ground, an integral order beside it
+    # takes the sum where Kummer's series ran before
+    (5.0, complex(-50.0, 1.0), "asymptotic", "asymptotic"),
+    (5.0, complex(-49.9, 1.0), "kummer", "terminating"),
+    # either side of |z| = s - 1, on both sides of the cut and on the
+    # imaginary axis
+    (5.0, -4.0, "kummer", "terminating"),
+    (5.0, complex(-4.0, -0.0), "kummer", "terminating"),
+    (5.0, -4.0 * (1.0 - 1e-12), "kummer", "kummer"),
+    (9.0, 8j, "series", "terminating"),
+    (9.0, 8j * (1.0 - 1e-12), "series", "series"),
+    # order 1: every z != 0
+    (1.0, 1e-3, "series", "terminating"),
+    (1.0, complex(-1e-3, 0.0), "kummer", "terminating"),
+    # either side of the cap
+    (16.0, 30j, "fraction", "terminating"),
+    (17.0, 30j, "fraction", "fraction"),
+    # an exactly integral order, and orders 1e-13 off it
+    (5.0, complex(10.0, 10.0), "fraction", "terminating"),
+    (5.0 + 1e-13, complex(10.0, 10.0), "fraction", "fraction"),
+    (complex(5.0, 1e-13), complex(10.0, 10.0), "fraction", "fraction"),
+    # either side of kappa = 16: the terms 1 and 1/z have moduli adding up
+    # to 21 times the modulus of their sum at z = -1.1 and to 11 times at
+    # -1.2, and they cancel exactly at z = -1
+    (2.0, -1.0, "kummer", "declined"),
+    (2.0, -1.1, "kummer", "declined"),
+    (2.0, -1.2, "kummer", "terminating"),
+])
+def test_small_integral_orders_take_the_terminating_sum(s, z, shared, upper):
+    # shared: the map's outcome without the clause, which lower_gamma keeps
+    # and a declined sum falls back to; upper: what upper_gamma takes
+    assert complexfn._gamma_regime(s, z) == shared
+    clause = complexfn._gamma_regime(s, z, upper=True)
+    assert clause == ("terminating" if upper == "declined" else upper)
+    if upper == "declined":
+        assert complexfn._upper_asymptotic(s, z) is None
+    got = upper_gamma(s, z)
+    assert got == _upper_by(s, z, shared if upper == "declined" else upper)
+    lower = {
+        "series": complexfn._lower_series_direct, "left-disc": complexfn._lower_series_direct,
+        "kummer": complexfn._lower_series_reflected,
+    }.get(shared)
+    assert lower_gamma(s, z) == (gamma_fn(s) - got if lower is None else lower(s, z))
 
 
 # -------------------------------------------------- recurrence property suites
@@ -468,6 +526,10 @@ def _regime_draws(rng):
         yield complexfn._upper_asymptotic, (s(-20.0, 20.0), -s(80.0, 500.0))
         yield complexfn._upper_series_nonpos_int, (rng.randint(0, 40), -s(0.01, 300.0))
         yield complexfn._upper_series_nonpos_int, (rng.randint(0, 40), s(0.01, 3.0))
+    for _ in range(40):
+        # the terminating sum, at the orders upper_gamma takes it at
+        order = float(rng.randint(1, complexfn._TERMINATING_CAP))
+        yield complexfn._upper_asymptotic, (order, rng.choice((-1.0, 1.0)) * s(15.0, 300.0))
 
 
 def test_regimes_give_real_arguments_the_bits_of_complex_ones():

@@ -861,6 +861,35 @@ def test_bench_pairs_verdict_follows_the_pair_rule():
     assert pairs.quartiles([5.0]) == (5.0, 5.0, 5.0)
 
 
+def test_bench_pairs_judges_each_workload_of_a_list(monkeypatch, capsys):
+    # one table per workload, in the order given; exit 1 once any of them
+    # regressed, and every workload still runs
+    pairs = _script("bench_pairs")
+    metrics = json.loads((Path(pairs.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]
+    slower = {"sweep-wide": 1.5}
+    calls = []
+
+    def run_once(checkout, workload, args):
+        calls.append(workload)
+        scale = slower.get(workload, 1.0) if checkout == pairs.ROOT else 1.0
+        jitter = 1.0 + 0.001 * len(calls)
+        return {m["name"]: 10.0 * jitter * (scale if m["better"] == "lower" else 1.0)
+                for m in metrics}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = ["--parent", "no-such-parent", "--pairs", "2", "--seconds", "1"]
+    assert pairs.main(argv + ["--workload", "verify,sweep-wide,sweep-deep"]) == 1
+    out = capsys.readouterr().out
+    assert calls == ["verify"] * 4 + ["sweep-wide"] * 4 + ["sweep-deep"] * 4
+    tables = [line.split()[0] for line in out.splitlines() if "seed=1 pairs=2" in line]
+    assert tables == ["verify", "sweep-wide", "sweep-deep"]
+    wide = out[out.index("sweep-wide seed="):out.index("sweep-deep seed=")]
+    assert "regression" in wide and "regression" not in out.replace(wide, "")
+    calls.clear()
+    assert pairs.main(argv + ["--workload", "verify,sweep-deep"]) == 0
+    assert calls == ["verify"] * 4 + ["sweep-deep"] * 4
+
+
 def test_reproduce_verification_exits_1_when_a_report_moved(tmp_path, capsys):
     # --against exits 0 against the script's own dump, and 1 once one
     # field of that dump is altered
