@@ -7,6 +7,12 @@ twelve addends the closed form decomposes into.  Reference formulas for
 the degenerate limits, the angle-coordinate variant, and several fixed
 evaluation points round out the verification surface; the ``chebgamma``
 console script drives batch checks and parameter sweeps.
+
+The verification harness (``chebgamma.harness``, with ``json`` and
+``hashlib`` behind it) loads on first use: its six re-exported names and
+the submodule itself resolve through the module ``__getattr__``, so that
+importing the package, evaluating a point or running a sweep does not
+pay for it.
 """
 
 from .chebyshev import ShellCoefficient, cheb_t, growth_radius, shell_coeff, shell_values
@@ -42,7 +48,6 @@ from .errors import (
     PoleError,
     SingularParameterError,
 )
-from .harness import CaseReport, VerificationCase, case_ids, compare, run_all, run_case
 from .series import (
     SeriesParams,
     SeriesResult,
@@ -54,6 +59,10 @@ from .series import (
 from .sweep import SweepConfig, SweepSummary, parse_sweep_config, run_sweep
 
 __version__ = "0.1.0"
+
+# Names re-exported from the verification harness, imported on first use.
+_HARNESS_NAMES = frozenset(
+    ("CaseReport", "VerificationCase", "case_ids", "compare", "run_all", "run_case"))
 
 __all__ = [
     "CaseReport",
@@ -105,3 +114,17 @@ __all__ = [
     "upper_gamma",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "harness" or name in _HARNESS_NAMES:
+        # import_module, not "from . import harness": that form looks the
+        # name up on this package first and would land here again.
+        from importlib import import_module
+        harness = import_module(".harness", __name__)
+        return harness if name == "harness" else getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_HARNESS_NAMES, "harness"})

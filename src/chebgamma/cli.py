@@ -9,7 +9,8 @@ Subcommands:
 * ``sweep``   evaluate a parameter grid from a config file
 * ``list``    show registered case ids
 
-Complex arguments use the no-space literal form ``1.5-0.25i``.
+Complex arguments use the no-space literal form ``1.5-0.25i``.  Only
+``verify`` and ``list`` import the verification harness, when they run.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ import sys
 from ._flags import collect
 from .closedform import TWELVE_TERMS, closed_form, closed_form_cos, contour_term
 from .errors import ConfigError, KernelDomainError, NonConvergenceError, SingularParameterError
-from .harness import (
-    DEFAULT_SEED,
-    registered_cases,
-    render_report_json,
-    render_report_text,
-    run_all,
-)
 from .series import _MODE_ALIAS, _MODES as _SERIES_MODES
 from .series import SeriesParams, TruncationPolicy, series_sum
 from .sweep import _open_in_place, parse_complex_literal, parse_sweep_config, run_sweep
@@ -84,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run registered verification cases")
     p_verify.add_argument("--case", default=None, help="run a single case id")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed of the randomized cases "
+                               "(default: the harness's DEFAULT_SEED)")
     p_verify.add_argument("--json", default=None, metavar="PATH",
                           help="also write the report as JSON")
 
@@ -130,11 +126,14 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_all(seed=args.seed, only=args.case)
-    sys.stdout.write(render_report_text(reports, args.seed))
+    from .harness import DEFAULT_SEED, render_report_json, render_report_text, run_all
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    reports = run_all(seed=seed, only=args.case)
+    sys.stdout.write(render_report_text(reports, seed))
     if args.json is not None:
         with _open_in_place(args.json) as fh:
-            fh.write(render_report_json(reports, args.seed))
+            fh.write(render_report_json(reports, seed))
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
@@ -153,6 +152,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from .harness import registered_cases
+
     for case in registered_cases():
         print(f"{case.case_id:<18} [{case.kind}] tol={case.tolerance:.0e}  "
               f"{case.description}")

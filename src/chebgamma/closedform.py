@@ -39,7 +39,6 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional
 
 from ._flags import BRANCH_SENSITIVE, checked, collect, flag
 from .complexfn import (
@@ -164,7 +163,14 @@ def contour_term(spec: ContourTermSpec, params: SeriesParams) -> complex:
     k, alpha, beta = params.k, params.alpha, params.beta
     x = alpha if spec.variable == "alpha-side" else beta
     root = csqrt(1.0 - x * x)
-    big_x = x + 1j * root if spec.root_sign == "+" else x - 1j * root
+    big_x, other = x + 1j * root, x - 1j * root
+    if spec.root_sign == "-":
+        big_x, other = other, big_x
+    # The two roots multiply to 1, and formed as x -+ i root the smaller
+    # one cancels (x - sqrt(x^2 - 1) for real x > 1 loses about 2 x^2 eps,
+    # and reads 0 from x ~ 1e8 on): take it as the reciprocal of the other.
+    if abs(big_x) < abs(other):
+        big_x = 1.0 / other
     order = k + 1.0 + spec.order_shift
     # pref, and ratio = Gamma(k) / Gamma(order)
     if spec.order_shift == 1:
@@ -195,8 +201,15 @@ def _root_pair(z: complex, k: complex, x: complex) -> tuple:
     logarithm and keeps ``cpow``.
     """
     s = csqrt(1.0 - x * x)
+    x_minus, x_plus = x - 1j * s, x + 1j * s
+    # The roots multiply to 1; where their moduli differ the smaller one is
+    # the reciprocal of the larger, since formed as x -+ i s it cancels.
+    if abs(x_minus) < abs(x_plus):
+        x_minus = 1.0 / x_plus
+    elif abs(x_plus) < abs(x_minus):
+        x_plus = 1.0 / x_minus
     roots = []
-    for big_x in (x - 1j * s, x + 1j * s):
+    for big_x in (x_minus, x_plus):
         zx = z * big_x
         if big_x == 0:
             roots.append((cexp(zx),
@@ -214,7 +227,7 @@ def _root_pair(z: complex, k: complex, x: complex) -> tuple:
 
 # The open root-pair scope (_shared_root_pairs), or None: a dict from the
 # exact bits of (z, k, x) to (pair, error, flags).
-_pair_scope: ContextVar[Optional[dict]] = ContextVar("chebgamma_root_pairs", default=None)
+_pair_scope: ContextVar[dict | None] = ContextVar("chebgamma_root_pairs", default=None)
 
 
 @contextmanager

@@ -32,7 +32,9 @@ one constant line; each grid value's two coordinate cells are formatted
 once per sweep, and the rows are rendered into one string per batch of
 at most 4096 rows, written with one ``write`` call per batch.  A
 warnings cell holding a comma, a quote or a line break is quoted by
-``csv.writer``.  JSON rows are keyed by column only when written.
+``csv.writer``.  JSON rows are keyed by column only when written.  The
+``csv`` and ``json`` modules are imported only on the paths that use
+them, so that importing this module, as every command does, stays cheap.
 Either format is written over the output file's old bytes, and only a
 longer old tail is trimmed (``_open_in_place``): a rerun into an
 existing file leaves exactly the new bytes without paying for a
@@ -45,15 +47,12 @@ bit-identical, signed zeros included.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice, product
-from typing import Optional
 
 from ._flags import collect
 from .closedform import _shared_root_pairs, closed_form
@@ -270,6 +269,8 @@ def _csv_text(text):
     """The CSV cell of a text, quoted by csv.writer where it may need it."""
     if _CSV_SPECIAL.search(text) is None:
         return text
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow((text,))
     return buf.getvalue()[:-1]
@@ -314,6 +315,8 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
             while batch := "".join(islice(lines, _CSV_BATCH)):
                 fh.write(batch)
     else:
+        import json
+
         points = product(config.a, config.k, config.alpha, config.beta)
         with _open_in_place(config.output_path) as fh:
             json.dump({"rows": [

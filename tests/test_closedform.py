@@ -129,6 +129,62 @@ def test_root_sign_partners_are_conjugate():
                 assert rel(plus, minus.conjugate()) < 1e-10
 
 
+def _mp_roots(mpmath, x):
+    """(s, x - i s, x + i s) with s = sqrt(1 - x^2), formed in mpmath with
+    two more digits per decade of |x| than the working precision, which
+    the difference of the two nearly equal numbers cancels."""
+    with mpmath.extradps(2 * max(0, int(math.log10(abs(x)))) + 10):
+        x = mpmath.mpc(x)
+        s = mpmath.sqrt(1 - x * x)
+        return +s, +(x - 1j * s), +(x + 1j * s)
+
+
+def _mp_contour_term(mpmath, spec, z, k, alpha, beta):
+    """contour_term's addend in mpmath."""
+    s, minus, plus = _mp_roots(mpmath, alpha if spec.variable == "alpha-side" else beta)
+    big_x = plus if spec.root_sign == "+" else minus
+    alpha, beta, k = mpmath.mpc(alpha), mpmath.mpc(beta), mpmath.mpc(k)
+    order = k + 1 + spec.order_shift
+    pref, ratio = {1: (1, 1 / (k * (k + 1))), 0: (alpha + beta, 1 / k),
+                   -1: (alpha * beta, 1)}[spec.order_shift]
+    sign = ((1 if spec.variable == "alpha-side" else -1) * (1 if spec.root_sign == "+" else -1)
+            * (-1 if spec.order_shift == 0 else 1))
+    return (sign * 1j * pref / (4 * s * (alpha - beta)) * mpmath.exp(z * big_x)
+            * big_x ** -order * mpmath.gammainc(order, z * big_x) * ratio * z ** -k)
+
+
+def test_small_root_keeps_its_digits_outside_the_interval():
+    # x outside [-1, 1]: real of either sign with |x| from 2 to 1e50, or
+    # complex of modulus 2 to 1e6.  The smaller root, formed as x -+ i s,
+    # would lose about 2 |x|^2 eps and read 0 from |x| ~ 1e8 on.  Each
+    # route's small root is held against 40-digit mpmath: its seven factors
+    # in _root_pair and its three alpha-side addends in contour_term.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2026)
+    with mpmath.workdps(40):
+        for i in range(40):
+            if i % 4:
+                x = complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.3, 50.0))
+            else:
+                x = cmath.rect(10.0 ** rng.uniform(0.3, 6.0), rng.uniform(-math.pi, math.pi))
+            z = rng.uniform(0.5, 5.0)
+            k = complex(rng.uniform(0.5, 3.0), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+            _, minus, plus = _mp_roots(mpmath, x)
+            small, sign = (minus, "-") if abs(minus) < abs(plus) else (plus, "+")
+            w = z * small
+            want = (mpmath.exp(w), small ** (-k - 2), mpmath.gammainc(k + 2, w),
+                    small ** (-k - 1), mpmath.gammainc(k + 1, w),
+                    small ** -k, mpmath.gammainc(k, w))
+            got = cf._root_pair(complex(z), k, x)[1][0 if sign == "-" else 1]
+            for g, m in zip(got, want):
+                assert abs(g - complex(m)) <= 1e-12 * abs(complex(m)), (x, z, k, g, m)
+            p = params(x, rng.uniform(-0.9, 0.9), k, z)
+            for spec in TWELVE_TERMS:
+                if spec.variable == "alpha-side" and spec.root_sign == sign:
+                    m = complex(_mp_contour_term(mpmath, spec, z, k, p.alpha, p.beta))
+                    assert rel(contour_term(spec, p), m) <= 1e-12, (x, z, k, spec)
+
+
 def test_contour_term_rejects_singular_parameters():
     with pytest.raises(SingularParameterError):
         contour_term(TWELVE_TERMS[0], params(0.5, 0.5, 2.0, 10.0))
@@ -584,9 +640,10 @@ def outcome(p):
 
 
 @pytest.mark.parametrize("points, pairs, raises", [
-    # At alpha = 3e153 the pair saturates e^(z X), flags it, and then
-    # raises KernelDomainError before the beta pair is needed.
-    ([params(3e153, beta, 2.5, 20.0) for beta in (0.3, -0.2, 0.3)], 1, True),
+    # At a*pi = 1.5e308, alpha = 2 the product z X overflows: the pair
+    # saturates e^(z X), flags it, and then raises KernelDomainError
+    # before the beta pair is needed.
+    ([params(2.0, beta, 2.5, 1.5e308) for beta in (0.3, -0.2, 0.3)], 1, True),
     # At a*pi = 300, k = -2 the beta = -1.5 pair saturates and flags.
     ([params(alpha, -1.5, -2.0, 300.0) for alpha in (0.3, -0.6, 0.3)], 3, False),
 ])

@@ -532,11 +532,13 @@ def _same_float(x, y):
 def _parity_grid():
     rng = random.Random(20261018)
     shared = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.4, 0.4))
+    # At a*pi = 1e155 and alpha = 3e153 the product z X overflows: the root
+    # pair saturates e^(z X) and then raises KernelDomainError, a skipped
+    # row whose flags come from the pair.  At the other a the pair of
+    # alpha = 3e153 evaluates, its small root the reciprocal of the large.
     a = (rng.uniform(2.0, 10.0) + 0j, complex(rng.uniform(2.0, 10.0), rng.uniform(-2.0, 2.0)),
-         300.0 / math.pi + 0j)
+         300.0 / math.pi + 0j, 1e155 / math.pi + 0j)
     k = (rng.uniform(1.0, 4.0) + 0j, -2 + 0j, complex(rng.uniform(1.0, 3.0), rng.uniform(0.1, 1.0)))
-    # At alpha = 3e153 the root pair saturates e^(z X) and then raises
-    # KernelDomainError: a skipped row whose flags come from the pair.
     alpha = (0.3 + 0j, complex(rng.uniform(1.2, 2.0)), shared, 0j, complex(-0.0, 0.0),
              3e153 + 0j)
     beta = (-1.5 + 0j, complex(rng.uniform(-0.9, 0.0)), shared, complex(-0.0, 0.0), 0.3 + 0j)
@@ -678,6 +680,7 @@ def test_cli_verify_single_case(capsys, tmp_path):
     out = capsys.readouterr().out
     assert rc == 0
     assert "prop1-k1" in out and "pass" in out
+    assert f"seed = {DEFAULT_SEED}\n" in out
     doc = json.loads(report_path.read_text())
     assert doc["cases"][0]["case_id"] == "prop1-k1"
 
@@ -935,6 +938,14 @@ def test_reproduce_verification_tells_a_moved_worst_point(tmp_path, capsys):
     assert f"seed 3 {moved['case_id']} point: {json.dumps(moved['point'])} -> {point}\n" in out
     assert f"seed 3 {moved['case_id']} rel_err: relative change 0.5, at another point\n" in out
     assert f"seed 3 {held['case_id']} rel_err: relative change 0.5\n" in out
+
+
+def test_cold_start_times_every_command(capsys):
+    cold = _script("cold_start")
+    assert cold.main(["--runs", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == list(cold.COMMANDS)
+    assert all(float(row.split()[1]) > 0 for row in rows)
 
 
 def test_cli_missing_config_exits_2(capsys, tmp_path):
