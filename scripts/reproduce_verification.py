@@ -12,12 +12,14 @@ takes a comma-separated list whose items may be inclusive ranges
 ``--dump DIR`` also writes each seed's JSON report as
 ``DIR/report-<seed>.json``.  ``--against DIR`` reads such a dump, made
 by another checkout, and lists every (seed, case, field) of the reports
-whose text moved, with the relative change of a numeric field; the exit
-status then says only whether anything moved: 1 when it did and 0 when
-nothing did.  Each case reports its worst point and names it by its
-parameters, ``point``; a field of a case whose worst point moved reads
-"at another point", since it may have moved only because another point
-became the worst one.
+whose text moved, with the relative change of a numeric field that reads
+finite on both sides (its old and new text otherwise); the exit status
+then says only whether anything moved: 1 when it did and 0 when nothing
+did.  Each case reports its worst point and names it by its parameters,
+``point``; a field of a case whose worst point moved reads "at another
+point", since it may have moved only because another point became the
+worst one.  The seed list, the dump options and the relative-change rule
+are those of ``scripts/dumpdiff.py``.
 
 Usage:
     python scripts/reproduce_verification.py
@@ -29,25 +31,16 @@ Usage:
 import argparse
 import hashlib
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
+import dumpdiff  # noqa: E402
 from chebgamma.harness import (  # noqa: E402
     DEFAULT_SEED, render_report_json, render_report_text, run_all)
-from chebgamma.sweep import _open_in_place  # noqa: E402
-
-
-def parse_seeds(text: str) -> list:
-    """'0..3,7' -> [0, 1, 2, 3, 7]."""
-    seeds = []
-    for tok in text.split(","):
-        lo, sep, hi = tok.partition("..")
-        seeds.extend(range(int(lo), int(hi) + 1) if sep else [int(tok)])
-    return seeds
+from dumpdiff import parse_seeds  # noqa: E402
 
 
 def _number(value):
@@ -57,16 +50,6 @@ def _number(value):
     if isinstance(value, list) and len(value) == 2 and all(isinstance(v, float) for v in value):
         return complex(*value)
     return None
-
-
-def _relative_change(old, new):
-    """|new - old| / |old| for numeric fields, None for the others."""
-    old, new = _number(old), _number(new)
-    if old is None or new is None:
-        return None
-    if not all(math.isfinite(v) for v in (old.real, old.imag, new.real, new.imag)):
-        return math.inf
-    return abs(new - old) / abs(old) if old else math.inf
 
 
 def compare(seed: int, old_doc: str, new_doc: str) -> list:
@@ -84,7 +67,8 @@ def compare(seed: int, old_doc: str, new_doc: str) -> list:
             if json.dumps(value) == json.dumps(was):
                 continue
             # a point's two floats are parameters, not a [re, im] value
-            change = None if field == "point" else _relative_change(was, value)
+            change = (None if field == "point"
+                      else dumpdiff.relative_change(_number(was), _number(value)))
             note = (f"relative change {change:.3g}" if change is not None
                     else f"{json.dumps(was)} -> {json.dumps(value)}")
             if elsewhere and field != "point":
@@ -95,25 +79,20 @@ def compare(seed: int, old_doc: str, new_doc: str) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default=str(DEFAULT_SEED),
+    parser.add_argument("--seeds", type=parse_seeds, default=str(DEFAULT_SEED),
                         help="comma-separated seeds or lo..hi ranges "
                              "(default: the pinned report seed)")
-    parser.add_argument("--dump", default=None, metavar="DIR",
-                        help="also write one JSON report per seed into DIR")
-    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
-                        help="list the fields that moved against a --dump DIR")
+    dumpdiff.add_dump_options(parser, "DIR", "also write one JSON report per seed into DIR",
+                              "list the fields that moved against a --dump DIR")
     args = parser.parse_args(argv)
 
-    seeds = parse_seeds(args.seeds)
     if args.against is not None:
-        missing = [str(args.against / f"report-{seed}.json") for seed in seeds
-                   if not (args.against / f"report-{seed}.json").is_file()]
-        if missing:
-            parser.error(f"no dump at {', '.join(missing)}")
+        dumpdiff.require_dumps(parser, [args.against / f"report-{seed}.json"
+                                        for seed in args.seeds])
     any_fail = False
     moved = []
     digest = hashlib.sha256()
-    for seed in seeds:
+    for seed in args.seeds:
         reports = run_all(seed=seed)
         text = render_report_text(reports, seed)
         doc = render_report_json(reports, seed)
@@ -125,10 +104,9 @@ def main(argv=None) -> int:
             status = "byte-identical" if again == text else "NOT REPRODUCIBLE"
             print(f"repeat run at seed {seed}: {status}")
         if args.dump is not None:
-            os.makedirs(args.dump, exist_ok=True)
-            path = os.path.join(args.dump, f"report-{seed}.json")
-            with _open_in_place(path) as fh:
-                fh.write(doc)
+            args.dump.mkdir(parents=True, exist_ok=True)
+            path = args.dump / f"report-{seed}.json"
+            path.write_text(doc)
             print(f"wrote {path}")
         if args.against is not None:
             old = (args.against / f"report-{seed}.json").read_text()
@@ -141,7 +119,7 @@ def main(argv=None) -> int:
             print(f"  {line}")
     print(f"sha256 of all reports = {digest.hexdigest()}")
     if args.against is not None:
-        return 1 if moved else 0
+        return dumpdiff.exit_status(moved)
     return 1 if any_fail else 0
 
 

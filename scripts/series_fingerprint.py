@@ -20,7 +20,8 @@ finite reading (0 when only non-finite readings moved), the largest
 relative change of the value and of the error estimate over the moved
 draws that read finite on both sides ("-" where none does), and each
 moved draw's point and its old and new fields.  It exits with status 1
-when any draw moved and 0 when none did.
+when any draw moved and 0 when none did.  The dump options and the rule
+by which a draw moved are those of ``scripts/dumpdiff.py``.
 
 Usage:
     python scripts/series_fingerprint.py
@@ -34,11 +35,12 @@ import hashlib
 import math
 import random
 import sys
-from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
+import dumpdiff  # noqa: E402
 from chebgamma import (  # noqa: E402
     SeriesParams, TruncationPolicy, difference_series, series_sum)
 
@@ -129,22 +131,12 @@ def lines(seed: int, draws: int):
                         + [result[f] for f in RESULT_FIELDS])
 
 
-def _finite(cell: str) -> bool:
-    # a value or error cell; "-" (the draw raised) reads as not finite
+def _number(cell: str):
+    # a value or error cell; "-" (the draw raised) reads as None
     try:
-        return cmath.isfinite(complex(cell))
+        return complex(cell)
     except ValueError:
-        return False
-
-
-def _relative_change(old: str, new: str):
-    # None unless both cells read finite
-    if not (_finite(old) and _finite(new)):
         return None
-    before, after = complex(old), complex(new)
-    if before == after:
-        return 0.0
-    return abs(after - before) / abs(before) if before else math.inf
 
 
 def _parse(line: str) -> dict:
@@ -155,35 +147,29 @@ def _parse(line: str) -> dict:
 def compare(old_lines, new_lines) -> tuple:
     """How the draws moved from ``old_lines`` to ``new_lines``.
 
-    Returns the number of draws that moved and the report lines.
+    Returns the number of draws that moved and the report lines.  The
+    largest relative changes are over the moved draws, both fields of each.
     """
     if len(old_lines) != len(new_lines):
         raise ValueError(f"draw counts differ: {len(old_lines)} against {len(new_lines)}")
-    fields = Counter()
+    draws = dumpdiff.Moves()
     moved = []
     for old_line, new_line in zip(old_lines, new_lines):
         old, new = _parse(old_line), _parse(new_line)
         if any(old[f] != new[f] for f in ("index",) + POINT_FIELDS):
             raise ValueError(f"draw {new['index']} is another point in the dump; "
                              "use the --seed and --draws it was made with")
-        changed = [f for f in RESULT_FIELDS if old[f] != new[f]]
+        changed = draws.compare(old, new)
         if changed:
-            fields.update(changed)
             moved.append((new, changed, old))
+            for f in ("value", "error"):
+                draws.value(f, _number(old[f]), _number(new[f]))
     finite = sum(1 for new, changed, old in moved
-                 if any(_finite(side[f]) for side in (old, new)
+                 if any(dumpdiff.finite(_number(side[f])) for side in (old, new)
                         for f in ("value", "error") if f in changed))
     report = [f"{len(moved)} of {len(new_lines)} draws moved",
-              f"{finite} of them moved a finite value or error"]
-    if fields:
-        report.append("draws moved per field: " + ", ".join(
-            f"{f} {n}" for f, n in sorted(fields.items())))
-        largest = []
-        for f in ("value", "error"):
-            changes = [_relative_change(old[f], new[f]) for new, _, old in moved]
-            changes = [c for c in changes if c is not None]
-            largest.append(f"{f} {max(changes):.3g}" if changes else f"{f} -")
-        report.append("largest relative change: " + ", ".join(largest))
+              f"{finite} of them moved a finite value or error",
+              *draws.summary("draws moved per field", ("value", "error"))]
     for new, changed, old in moved:
         point = " ".join(f"{f}={new[f]}" for f in POINT_FIELDS)
         report.append(f"draw {new['index']}: {point}")
@@ -197,15 +183,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="seed of the draws")
     parser.add_argument("--draws", type=int, default=20000, help="number of draws")
-    parser.add_argument("--dump", type=Path, default=None, metavar="FILE",
-                        help="keep the per-draw lines in FILE")
-    parser.add_argument("--against", type=Path, default=None, metavar="FILE",
-                        help="report which draws moved against a --dump FILE")
+    dumpdiff.add_dump_options(parser, "FILE", "keep the per-draw lines in FILE",
+                              "report which draws moved against a --dump FILE")
     args = parser.parse_args(argv)
     if args.draws < 1:
         parser.error("--draws must be at least 1")
-    if args.against is not None and not args.against.is_file():
-        parser.error(f"no dump at {args.against}")
+    if args.against is not None:
+        dumpdiff.require_dumps(parser, [args.against])
     rows = list(lines(args.seed, args.draws))
     digest = hashlib.sha256("".join(row + "\n" for row in rows).encode())
     print(f"series seed {args.seed}, {args.draws} draws: {digest.hexdigest()}")
@@ -219,7 +203,7 @@ def main(argv=None) -> int:
             parser.error(str(exc))
         for line in report:
             print(f"  {line}")
-        return 1 if moved else 0
+        return dumpdiff.exit_status(moved)
     return 0
 
 

@@ -19,18 +19,18 @@ how many rows changed in each column, the largest relative change of
 each value between finite readings (a complex value is one value), and
 every move of a point between the benchmark's failure causes, judged by
 ``workloads.judge_row``.  It then exits with status 1 when any row moved
-and 0 when none did.
+and 0 when none did.  The seed list, the dump options and the rule by
+which a row moved are those of ``scripts/dumpdiff.py``.
 
 Usage:
     python scripts/sweep_fingerprint.py
-    python scripts/sweep_fingerprint.py --seeds 1,2,7 --workloads sweep-wide
+    python scripts/sweep_fingerprint.py --seeds 0..2,7 --workloads sweep-wide
     python scripts/sweep_fingerprint.py --seeds 1 --dump /tmp/parent-rows
     python scripts/sweep_fingerprint.py --seeds 1 --against /tmp/parent-rows
 """
 
 import argparse
 import hashlib
-import math
 import shutil
 import sys
 import tempfile
@@ -38,9 +38,9 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
+import dumpdiff  # noqa: E402
 import workloads as wl  # noqa: E402
 
 SWEEPS = tuple(name for name in wl.WORKLOADS if name != "verify")
@@ -55,35 +55,28 @@ def _label(row) -> str:
     return outcome.cause if outcome.failed else "pass"
 
 
-def _value(row: dict, name: str) -> complex:
-    # a complex pair name_re/name_im, or a real column; "" reads as nan
+def _value(row: dict, name: str):
+    # a complex pair name_re/name_im, or a real column; "" reads as None
     if f"{name}_re" in row:
         parts = (row[f"{name}_re"], row[f"{name}_im"])
     else:
         parts = (row[name], "0")
     if "" in parts:
-        return complex(math.nan, math.nan)
+        return None
     return complex(float(parts[0]), float(parts[1]))
 
 
-def _relative_change(old: complex, new: complex):
-    # None where either side is not finite: the failure causes show those
-    if not (wl.finite(old) and wl.finite(new)):
-        return None
-    if old == new:
-        return 0.0
-    return abs(new - old) / abs(old) if old else math.inf
+class RowDiff(dumpdiff.Moves):
+    """How one set of sweep rows moved against an older set of the same points.
 
-
-class RowDiff:
-    """How one set of sweep rows moved against an older set of the same points."""
+    A row is a record whose fields are its columns; ``moves`` counts the
+    points per (old label, new label) move between failure causes.
+    """
 
     def __init__(self):
-        self.rows = 0
-        self.rows_changed = 0
-        self.changed = Counter()        # column -> rows whose text differs
-        self.largest = {}               # value name -> largest relative change
-        self.moves = Counter()          # (old label, new label) -> points
+        super().__init__()
+        self.rows = self.rows_changed = 0
+        self.moves = Counter()
 
     def add_cell(self, old_rows, new_rows, size: int):
         """Compare one cell; a list of rows per side, or None where it aborted."""
@@ -99,32 +92,17 @@ class RowDiff:
             if old is None or new is None:
                 self.rows_changed += (old is None) != (new is None)
                 continue
-            columns = [c for c in new if old[c] != new[c]]
-            if not columns:
-                continue
-            self.rows_changed += 1
-            self.changed.update(columns)
+            columns = self.compare(old, new)
+            self.rows_changed += bool(columns)
             for name in {c[:-3] if c[-3:] in ("_re", "_im") else c for c in columns}:
-                if name == "warnings":
-                    continue
-                change = _relative_change(_value(old, name), _value(new, name))
-                if change is not None:
-                    self.largest[name] = max(self.largest.get(name, 0.0), change)
+                if name != "warnings":
+                    self.value(name, _value(old, name), _value(new, name))
 
     def report(self) -> list:
-        lines = [f"{self.rows_changed} of {self.rows} rows changed"]
-        if self.changed:
-            lines.append("rows changed per column: " + ", ".join(
-                f"{c} {n}" for c, n in sorted(self.changed.items())))
-        if self.largest:
-            lines.append("largest relative change: " + ", ".join(
-                f"{name} {value:.3g}" for name, value in sorted(self.largest.items())))
-        if self.moves:
-            lines.append("failure-cause moves: " + ", ".join(
-                f"{a} -> {b} {n}" for (a, b), n in sorted(self.moves.items())))
-        else:
-            lines.append("failure-cause moves: none")
-        return lines
+        moves = ", ".join(f"{a} -> {b} {n}" for (a, b), n in sorted(self.moves.items()))
+        return [f"{self.rows_changed} of {self.rows} rows changed",
+                *self.summary("rows changed per column"),
+                f"failure-cause moves: {moves or 'none'}"]
 
 
 def _cell_dir(root: Path, workload: str, seed: int) -> Path:
@@ -169,34 +147,31 @@ def fingerprint(workload: str, seed: int, dump=None, against=None):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="1,2,7", help="comma-separated benchmark seeds")
+    parser.add_argument("--seeds", type=dumpdiff.parse_seeds, default="1,2,7",
+                        help="comma-separated benchmark seeds or lo..hi ranges")
     parser.add_argument("--workloads", default=",".join(SWEEPS),
                         help=f"comma-separated subset of {', '.join(SWEEPS)}")
-    parser.add_argument("--dump", type=Path, default=None, metavar="DIR",
-                        help="keep every cell's CSV under DIR/<workload>/seed-<seed>/")
-    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
-                        help="report how the rows moved against a --dump DIR")
+    dumpdiff.add_dump_options(
+        parser, "DIR", "keep every cell's CSV under DIR/<workload>/seed-<seed>/",
+        "report how the rows moved against a --dump DIR")
     args = parser.parse_args(argv)
     names = args.workloads.split(",")
     unknown = [name for name in names if name not in SWEEPS]
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
-    seeds = [int(tok) for tok in args.seeds.split(",")]
     if args.against is not None:
-        missing = [str(_cell_dir(args.against, name, seed)) for name in names
-                   for seed in seeds if not _cell_dir(args.against, name, seed).is_dir()]
-        if missing:
-            parser.error(f"no dump at {', '.join(missing)}")
+        dumpdiff.require_dumps(parser, [_cell_dir(args.against, name, seed) for name in names
+                                        for seed in args.seeds], Path.is_dir)
     moved = 0
     for name in names:
-        for seed in seeds:
+        for seed in args.seeds:
             digest, diff = fingerprint(name, seed, args.dump, args.against)
             print(f"{name} seed {seed}: {digest}")
             if diff is not None:
                 moved += diff.rows_changed
                 for line in diff.report():
                     print(f"  {line}")
-    return 1 if moved else 0
+    return dumpdiff.exit_status(moved)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     parser.add_argument("--zmax", type=float, default=math.exp(4.0))
     parser.add_argument("--points", type=int, default=12)
     args = parser.parse_args(argv)
+    if args.points < 2 or not 0.0 < args.zmin < args.zmax:
+        parser.error("need --points >= 2 and 0 < --zmin < --zmax")
 
     policy = TruncationPolicy(mode="optimal")
     print(f"k = {args.k}, alpha = {args.alpha}, beta = {args.beta}")

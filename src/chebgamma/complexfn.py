@@ -496,7 +496,10 @@ def _upper_cf(s: complex, z: complex) -> complex:
 def _gamma_regime(s: complex, z: complex, upper: bool = False) -> str:
     # The regime map of the module docstring, for z != 0.  Only upper=True
     # names the terminating sum: lower_gamma would take Gamma(s) minus it.
-    abs_s, abs_z = abs(s), abs(z)
+    try:
+        abs_s, abs_z = abs(s), abs(z)
+    except OverflowError:
+        raise KernelDomainError(f"|s| or |z| overflows a double at s={s}, z={z}") from None
     near_cut = abs_z + z.real <= _REFLECT_MAX_CANCEL
     if near_cut and abs_z >= _ASYMPTOTIC_MIN_Z + 2.0 * abs_s:
         return _ASYMPTOTIC

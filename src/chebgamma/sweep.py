@@ -38,9 +38,11 @@ them, so that importing this module, as every command does, stays cheap.
 Either format is written over the output file's old bytes, and only a
 longer old tail is trimmed (``_open_in_place``): a rerun into an
 existing file leaves exactly the new bytes without paying for a
-truncate to zero first.  Points that land on a singular parameter set
-are reported as ``skipped-with-warning`` rows rather than aborting the
-sweep.  CSV numbers are written with ``"%.17g" %`` (the text of
+truncate to zero first.  Points that land on a singular parameter set,
+fall outside a kernel's domain (a modulus past the double range among
+them) or where a kernel does not converge are reported as
+``skipped-with-warning`` rows rather than aborting the sweep.  CSV
+numbers are written with ``"%.17g" %`` (the text of
 ``format(x, ".17g")``), 17 significant digits, so a parsed-back grid is
 bit-identical, signed zeros included.
 """
@@ -56,7 +58,7 @@ from itertools import islice, product
 
 from ._flags import collect
 from .closedform import _shared_root_pairs, closed_form
-from .errors import ConfigError, KernelDomainError, SingularParameterError
+from .errors import ConfigError, KernelDomainError, NonConvergenceError, SingularParameterError
 from .series import SeriesParams, TruncationPolicy, series_sum
 
 __all__ = [
@@ -197,7 +199,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 
 # Errors that turn a grid point into a skipped-with-warning row.
-_SKIPPED = (SingularParameterError, KernelDomainError, ConfigError)
+_SKIPPED = (SingularParameterError, KernelDomainError, ConfigError, NonConvergenceError)
 
 
 def _evaluate_point(a, k, alpha, beta, config):

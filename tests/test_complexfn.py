@@ -76,8 +76,9 @@ def test_kernels_take_complex_scalars_and_refuse_non_finite_ones():
         for s, w in ((2.5, 1.5), (2.5 + 0.5j, 1.5 - 0.25j), (2.5, complex(-3.0, -0.0))):
             want = _bits(kernel(complex(s), complex(w)))
             assert _bits(kernel(Sub(s), w)) == _bits(kernel(s, Sub(w))) == want
+            # the last has finite parts but a modulus past the largest double
             for bad in (math.nan, complex(math.nan, 0.0), complex(0.0, math.inf), math.inf,
-                        "x", None):
+                        "x", None, complex(1.5e308, 1.5e308)):
                 for args in ((bad, w), (s, bad)):
                     with pytest.raises(KernelDomainError):
                         kernel(*args)

@@ -959,3 +959,32 @@ def test_cli_missing_config_exits_2(capsys, tmp_path):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(binary) in err
+
+
+def test_sweep_survives_a_point_past_the_double_range(tmp_path):
+    # At a*pi = 1.5e308 the root argument a*pi*X of alpha = -0.3+0.2i has a
+    # modulus past the largest double, and at alpha = -0.6 the continued
+    # fraction does not converge; either point is a row, not an abort.
+    out = tmp_path / "grid.csv"
+    a = (20.0 / math.pi + 0j, 1.5e308 / math.pi + 0j)
+    alpha = (-0.6 + 0j, -0.3 + 0.2j, 0.3 + 0j)
+    config = SweepConfig(a=a, k=(2.5 + 0j,), alpha=alpha, beta=(0.5 + 0j,),
+                         mode="closed", output_path=str(out))
+    assert run_sweep(config).points_evaluated == 6
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row, alpha_value in zip(rows[:3], alpha):
+        closed = closed_form(SeriesParams(a=a[0], k=2.5, alpha=alpha_value, beta=0.5))
+        assert row["warnings"] == ""
+        assert (row["closed_re"], row["closed_im"]) == (
+            format(closed.real, ".17g"), format(closed.imag, ".17g"))
+    assert ["skipped-with-warning: " in row["warnings"] for row in rows[3:]] == [
+        True, True, False]
+    assert rows[5]["warnings"] == "overflow-saturation"
+
+
+def test_cli_eval_past_the_double_range_exits_2(capsys):
+    rc = main(["eval", "--a", "4.7746482927568601e307", "--k", "2.5",
+               "--alpha=-0.3+0.2i", "--beta", "0.5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
