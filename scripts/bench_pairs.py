@@ -5,10 +5,13 @@ Each pair runs ``perfbench/run.py --workload W --seed K --seconds S
 --trace 0`` once in the parent checkout and once in this one, one process
 at a time; even pairs run the parent first and odd pairs this checkout
 first.  ``--workload`` takes one workload or a comma-separated list of
-them, run one after the other, all pairs of one before the next.  Every
-run's end-to-end metrics are printed as it finishes.  After each
-workload's pairs the script prints that workload's table, one row per
-end-to-end metric of ``BENCHMARK.json``: both sides' medians and
+them, and ``--seed`` one seed or a list in the form of
+``scripts/dumpdiff.py`` (``1,2``, ``1..3``).  They run one after the
+other, workload by workload and within a workload seed by seed, all
+pairs of one before the next.  Every run's end-to-end metrics are
+printed as it finishes.  After the pairs of each workload and seed the
+script prints their table, one row per end-to-end metric of
+``BENCHMARK.json``: both sides' medians and
 quartiles, the number of pairs this checkout won (a tie counts for
 neither side) and a verdict, judged with the metric's ``better``
 direction and ``bound``:
@@ -23,12 +26,14 @@ direction and ``bound``:
   than every run of the parent;
 * ``flat``: anything else.
 
-The exit status is 1 when any metric of any workload is a regression and
-0 otherwise.
+The exit status is 1 when any metric of any workload at any seed is a
+regression and 0 otherwise.
 
 Usage:
     python scripts/bench_pairs.py --parent ../parent \\
         --workload verify,sweep-wide,sweep-deep --pairs 10 --seconds 30 --seed 1
+    python scripts/bench_pairs.py --parent ../parent --workload verify \
+        --pairs 5 --seed 1,2
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "scripts")]
+
+import dumpdiff  # noqa: E402
 
 
 def quartiles(samples) -> tuple:
@@ -75,27 +83,27 @@ def verdict(parent, change, better: str, bound: float) -> str:
     return "flat"
 
 
-def run_once(checkout: Path, workload: str, args) -> dict:
-    """One benchmark run of workload in checkout: metric name -> value."""
+def run_once(checkout: Path, workload: str, seed: int, args) -> dict:
+    """One benchmark run of workload at seed in checkout: metric name -> value."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+         str(seed), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def compare(workload: str, sides: dict, metrics: list, args) -> bool:
-    """Run workload's pairs, print its runs and table; True if it regressed."""
+def compare(workload: str, seed: int, sides: dict, metrics: list, args) -> bool:
+    """Run workload's pairs at seed, print its runs and table; True if it regressed."""
     runs = {side: [] for side in sides}
     for i in range(args.pairs):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            values = run_once(sides[side], workload, args)
+            values = run_once(sides[side], workload, seed, args)
             runs[side].append(values)
-            print(f"{workload} pair {i + 1} {side:<6} " + " ".join(
+            print(f"{workload} seed {seed} pair {i + 1} {side:<6} " + " ".join(
                 f"{m['name']}={values[m['name']]:.6g}" for m in metrics), flush=True)
 
-    print(f"\n{workload} seed={args.seed} pairs={args.pairs} seconds={args.seconds}")
+    print(f"\n{workload} seed={seed} pairs={args.pairs} seconds={args.seconds}")
     print(f"{'metric':<18} {'better':<6} {'parent median [q1, q3]':<34} "
           f"{'change median [q1, q3]':<34} {'wins':<7} verdict")
     regressed = False
@@ -122,12 +130,14 @@ def main(argv=None) -> int:
                         help="one workload, or a comma-separated list")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=dumpdiff.parse_seeds, default=[1], metavar="K[,K...]",
+                        help="one seed, or a list such as 1,2 or 1..3")
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    # every workload runs, even after one has regressed
-    regressed = [compare(w, sides, metrics, args) for w in args.workload.split(",")]
+    # every workload and seed runs, even after one has regressed
+    regressed = [compare(w, seed, sides, metrics, args)
+                 for w in args.workload.split(",") for seed in args.seed]
     return 1 if any(regressed) else 0
 
 

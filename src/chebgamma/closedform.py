@@ -18,8 +18,14 @@ Two independent routes to the same value are implemented on purpose:
 They share only the scalar kernels, so agreement between them is a real
 cross-check on the transcription.  ``closed_form_cos`` is the same
 identity in angle coordinates (alpha = cos theta), with its own loop
-over the roots e^(-+i theta), and the remaining functions are fixed
-reference formulas: the all-ones limit, the golden-ratio point, the
+over the roots e^(-+i theta).  When a, k and both angles are real it
+evaluates one root per side, e^(-i theta), and takes the other's addend
+as minus its conjugate (Schwarz reflection of the incomplete gamma), bit
+for bit what the second root gives; complex inputs run all four roots.
+Each root keeps three incomplete gammas at the literal orders k, k + 1
+and k + 2, with no recurrence between them, so that the route checks
+any shortcut ``closed_form`` takes across orders.  The remaining
+functions are fixed reference formulas: the all-ones limit, the golden-ratio point, the
 error-function point, and the odd-shell difference identities at
 alpha = beta = c.  Those are the double-root formula at c = 1 and one
 formula in c over the simple roots c +- sqrt(c^2 - 1) for c = 2..5.
@@ -57,7 +63,7 @@ from .errors import (
     PoleError,
     SingularParameterError,
 )
-from .series import SeriesParams, _scalar
+from .series import SeriesParams, _modulus, _scalar
 
 __all__ = [
     "TWELVE_TERMS",
@@ -89,7 +95,7 @@ def _check_regular(params: SeriesParams, alpha_side: bool = True, beta_side: boo
     if beta_side and min(abs(beta - 1.0), abs(beta + 1.0)) <= _MOAT:
         raise SingularParameterError(
             "beta sits at +-1 (removable singularity); use limit_eval")
-    if abs(k) <= _MOAT or abs(k + 1.0) <= _MOAT:
+    if _modulus(k, "k") <= _MOAT or abs(k + 1.0) <= _MOAT:
         raise SingularParameterError(
             "k at 0 or -1 divides the prefactor to zero; use limit_eval "
             "on a nearby k or the series route")
@@ -235,10 +241,12 @@ def _shared_root_pairs():
     """Share root pairs among the closed_form calls of the block.
 
     Within the block each distinct (z, k, x) computes its root pair once.
-    The flags the pair raised, and a KernelDomainError it raised, are kept
-    with it and raised again at every later point that uses it, so each
-    value, flag and error is what closed_form gives outside the scope (a
-    pair that raised any other error is not kept).  Keys are exact bits:
+    The flags the pair raised, and a KernelDomainError or
+    NonConvergenceError it raised, are kept with it and raised again at
+    every later point that uses it, so each value, flag and error is what
+    closed_form gives outside the scope, and a failing kernel runs once
+    per block (a pair that raised any other error is not kept).  Keys are
+    exact bits:
     0.0 == -0.0, but the roots built from them can carry zeros of
     different sign into the kernels.  A nested scope starts empty and the
     outer one is back when it ends.
@@ -265,7 +273,7 @@ def _shared_pair(z: complex, k: complex, x: complex) -> tuple:
         with collect() as raised:
             try:
                 pair = _root_pair(z, k, x)
-            except KernelDomainError as exc:
+            except (KernelDomainError, NonConvergenceError) as exc:
                 error = exc
         pairs[key] = pair, error, raised
     if error is not None:
@@ -309,6 +317,17 @@ def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
     keeping the printed mixed pairings on the beta side (e^(-i theta_beta)
     goes with e^(+i k theta_beta) and vice versa), and the order shifts
     appear as e^(+-i theta) factors folded into the exponential.
+
+    When a, k and both angles are real, the e^(+i theta) root of each side
+    is the conjugate of the e^(-i theta) one, and so is every factor of
+    its addend: the root power, the three shifted exponentials and,
+    by Schwarz reflection (DLMF 8.2), the three Gamma(s, conj w) =
+    conj Gamma(s, w) at real s.  Its addend enters the bracket with the
+    opposite sign, so the bracket takes it as minus the conjugate of the
+    other's: six incomplete gammas instead of twelve, and every bit kept.
+    Any complex input runs all four roots.  The orders stay the literal k, k + 1 and k + 2,
+    three kernels per root and no recurrence between them, so that this
+    route stays independent of closed_form.
     """
     a, k = _scalar(a, "a"), _scalar(k, "k")
     ta, tb = _scalar(theta_alpha, "theta_alpha"), _scalar(theta_beta, "theta_beta")
@@ -320,22 +339,29 @@ def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
         raise SingularParameterError(
             "sin(theta) vanishes (cos theta at +-1); use limit_eval")
     z = a * math.pi
-    xm, xp = cexp(-1j * ta), cexp(1j * ta)
-    ym, yp = cexp(-1j * tb), cexp(1j * tb)
+    mirrored = not (a.imag or k.imag or ta.imag or tb.imag)
+    xm, ym = cexp(-1j * ta), cexp(-1j * tb)
+    yp = ym.conjugate() if mirrored else cexp(1j * tb)
     cot_a, csc_a = ca / sina, 1.0 / sina
     cot_b, csc_b = cb / sinb, 1.0 / sinb
-    # (root, angle shift, root power, sign, order-k weight, cosecant)
+    # (root, angle shift, root power, sign, order-k weight, cosecant); a
+    # mirrored run keeps the e^(-i theta) root of each side only
     roots = ((xm, ta, cpow(xm, -k), 1.0, cb * cot_a, csc_a),
-             (xp, -ta, cpow(xp, -k), -1.0, cb * cot_a, csc_a),
-             (ym, tb, cpow(yp, k), -1.0, ca * cot_b, csc_b),
-             (yp, -tb, cpow(ym, k), 1.0, ca * cot_b, csc_b))
+             (ym, tb, cpow(yp, k), -1.0, ca * cot_b, csc_b))
+    if not mirrored:
+        xp = cexp(1j * ta)
+        roots = (roots[0], (xp, -ta, cpow(xp, -k), -1.0, cb * cot_a, csc_a),
+                 roots[1], (yp, -tb, cpow(ym, k), 1.0, ca * cot_b, csc_b))
     bracket = 0j
     for x, shift, power, sign, lead, csc in roots:
         zx = z * x
-        bracket += sign * (
+        addend = (
             cexp(zx) * power * k * (1 + k) * lead * upper_gamma(k, zx)
             - cexp(zx + 1j * shift) * power * (1 + k) * (ca + cb) * csc * upper_gamma(1 + k, zx)
             + cexp(zx + 2j * shift) * power * csc * upper_gamma(2 + k, zx))
+        bracket += sign * addend
+        if mirrored:
+            bracket += -sign * addend.conjugate()
     return checked(bracket / (4.0 * k * 1j * (1 + k) * cpow(z, k) * (ca - cb)))
 
 

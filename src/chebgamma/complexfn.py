@@ -214,11 +214,20 @@ def cpow(z: complex, s: complex) -> complex:
 
 
 def cexp(z: complex) -> complex:
-    """exp that saturates (and flags) instead of raising on overflow."""
+    """exp that saturates (and flags) instead of raising on overflow.
+
+    An infinite imaginary part has no angle: the value is then inf+nan*i
+    past the saturation threshold and nan+nan*i below it, as C99 gives
+    for an infinite and a finite real part, and it is flagged too.
+    """
     if z.real > _EXP_OVERFLOW:
         flag(OVERFLOW_SATURATION)
-        return cmath.rect(math.inf, z.imag)
-    return cmath.exp(z)
+        return complex(math.inf, math.nan) if math.isinf(z.imag) else cmath.rect(math.inf, z.imag)
+    try:
+        return cmath.exp(z)
+    except ValueError:
+        flag(OVERFLOW_SATURATION)
+        return complex(math.nan, math.nan)
 
 
 # --- log gamma -------------------------------------------------------------
@@ -543,8 +552,16 @@ def upper_gamma(s, z) -> complex:
         m = _nearest_nonpos_int(s)
         if m is not None:
             return _upper_series_nonpos_int(m, z)
+        g = gamma_fn(s)
         lower = _lower_series_direct if regime == _SERIES else _lower_series_reflected
-        return gamma_fn(s) - lower(s, z)
+        try:
+            return g - lower(s, z)
+        except NonConvergenceError:
+            if cmath.isfinite(g):
+                raise
+            # Gamma(s) saturated, and flagged: no gamma(s, z) brings the
+            # difference back, so the series need not converge
+            return g
     return _upper_cf(s, z)
 
 

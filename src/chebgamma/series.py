@@ -102,6 +102,14 @@ def _scalar(value, name: str) -> complex:
     return z
 
 
+def _modulus(value: complex, name: str) -> float:
+    """|value|, or KernelDomainError where the modulus overflows a double."""
+    try:
+        return abs(value)
+    except OverflowError:
+        raise KernelDomainError(f"|{name}| overflows a double at {name}={value}") from None
+
+
 @dataclass(frozen=True)
 class SeriesParams:
     """Evaluation point; the expansion variable is a*pi, not a itself."""
@@ -214,6 +222,8 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     if z == 0:
         raise KernelDomainError("a*pi must be nonzero")
     k = _narrow(params.k)
+    # the envelope steps by |k - q|, which has no double once |k| has none
+    _modulus(k, "k")
     bound = series_terminates(k)
     if bound is not None:
         # Snap to the exact integer: the raw offset (< 1e-12) would

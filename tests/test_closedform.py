@@ -18,6 +18,7 @@ import pytest
 import chebgamma.closedform as cf
 from chebgamma import (
     ConfigError,
+    KernelDomainError,
     LimitSpec,
     NonConvergenceError,
     PoleError,
@@ -316,6 +317,49 @@ def test_cosine_form_rejects_angle_moat():
         closed_form_cos(10.0 / math.pi, 2.0, 1e-9, 1.2)
     with pytest.raises(SingularParameterError):
         closed_form_cos(10.0 / math.pi, 2.0, 1.2, 1.2)
+
+
+def test_cosine_form_refuses_an_order_whose_modulus_overflows():
+    with pytest.raises(KernelDomainError, match=r"\|k\| overflows a double"):
+        closed_form_cos(3.0, 1.5e308 + 1.5e308j, 1.1, 2.0)
+
+
+def _cosine_points():
+    rng = random.Random(23)
+    return [(10 ** rng.uniform(-1.0, 2.5),
+             rng.choice([float(rng.randint(1, 12)), rng.uniform(-3.5, 30.0)]),
+             rng.uniform(-3.0, 6.0), rng.uniform(-3.0, 6.0)) for _ in range(8)]
+
+
+# the four-root loop's values at _cosine_points(), which one root per
+# side must keep bit for bit
+_COSINE_VALUES = tuple(complex(re, im) for re, im in (
+    (0.20003800131696875, 0.0), (0.14349584467338955, 0.0), (21.004530607159356, 0.0),
+    (0.155702388710089, 0.0), (0.2591320942180281, -0.0), (0.052454979995213785, -0.0),
+    (21327959015.259895, -0.0), (0.1047320635763445, 0.0),
+))
+
+
+def test_cosine_form_at_real_points_keeps_its_bits_with_one_root_per_side(monkeypatch):
+    # The e^(+i theta) addend is minus the conjugate of the e^(-i theta)
+    # one, so six incomplete gammas serve where twelve did, bit for bit.
+    calls = count_kernel_calls(monkeypatch)
+    for point, value in zip(_cosine_points(), _COSINE_VALUES):
+        calls.clear()
+        assert same_bits(closed_form_cos(*point), value)
+        assert len(calls) == 6
+
+
+@pytest.mark.parametrize("point", [
+    (12.0 / math.pi, 1.7 + 0.2j, 1.1, 2.0),
+    (12.0 / math.pi + 0.1j, 1.7, 1.1, 2.0),
+    (12.0 / math.pi, 1.7, 1.1 + 0.05j, 2.0),
+    (12.0 / math.pi, 1.7, 1.1, 2.0 - 0.05j),
+])
+def test_cosine_form_runs_all_four_roots_at_a_complex_input(monkeypatch, point):
+    calls = count_kernel_calls(monkeypatch)
+    closed_form_cos(*point)
+    assert len(calls) == 12
 
 
 # ------------------------------------------------------- named references
@@ -658,6 +702,21 @@ def test_a_shared_pair_replays_its_flags_and_its_error(monkeypatch, points, pair
     for (value, error, flags), (value0, error0, flags0) in zip(shared, alone):
         assert (error, flags) == (error0, flags0)
         assert value is value0 is None or same_bits(value, value0)
+
+
+def test_a_shared_pair_replays_a_continued_fraction_that_failed(monkeypatch):
+    # At a*pi = 1.5e308, alpha = -0.6 the first continued fraction of the
+    # alpha pair does not converge: one failing kernel call for the block,
+    # and every point raises what it raises alone.
+    points = [params(-0.6, beta, 2.5, 1.5e308) for beta in (0.3, -0.2, 0.1, 0.3)]
+    alone = [outcome(p) for p in points]
+    assert all(error.startswith("NonConvergenceError: ") and not flags
+               for _, error, flags in alone)
+    calls = count_kernel_calls(monkeypatch)
+    with cf._shared_root_pairs():
+        shared = [outcome(p) for p in points]
+    assert len(calls) == 1
+    assert shared == alone
 
 
 def test_a_scope_ends_with_its_block_and_restores_the_outer_one(monkeypatch):

@@ -426,6 +426,31 @@ def test_erfc_saturation_flags_not_errors():
     assert not flags
 
 
+@pytest.mark.parametrize("z, want", [
+    (complex(800.0, math.inf), "(inf+nanj)"),
+    (complex(800.0, -math.inf), "(inf+nanj)"),
+    (complex(1.0, math.inf), "(nan+nanj)"),
+    (complex(-800.0, -math.inf), "(nan+nanj)"),
+])
+def test_cexp_of_an_infinite_imaginary_part_is_flagged_not_raised(z, want):
+    with collect() as flags:
+        assert repr(complexfn.cexp(z)) == want
+    assert flags == {"overflow-saturation"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_fn(1e308 + 1e308j),
+    lambda: upper_gamma(1e308 + 1e308j, 1e308 + 1e308j),
+], ids=["gamma_fn", "upper_gamma"])
+def test_a_gamma_whose_log_has_an_infinite_imaginary_part_saturates(call):
+    # log Gamma(1e308 + 1e308i) has an imaginary part past the double
+    # range, so e^(log Gamma) has no angle
+    with collect() as flags:
+        value = call()
+    assert not cmath.isfinite(value)
+    assert flags == {"overflow-saturation"}
+
+
 def test_nonpos_int_order_saturates_past_double_range():
     # Gamma(-2, -720) is about e^720 / 720^3, still a double: its value,
     # unflagged.  Gamma(-2, -800), about 1e341, is past the double range

@@ -865,32 +865,52 @@ def test_bench_pairs_verdict_follows_the_pair_rule():
 
 
 def test_bench_pairs_judges_each_workload_of_a_list(monkeypatch, capsys):
-    # one table per workload, in the order given; exit 1 once any of them
-    # regressed, and every workload still runs
+    # one table per workload and seed, workload by workload and seed by
+    # seed; exit 1 once any of them regressed, and every one still runs
     pairs = _script("bench_pairs")
     metrics = json.loads((Path(pairs.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]
-    slower = {"sweep-wide": 1.5}
+    slower = {("sweep-wide", 1): 1.5}
     calls = []
 
-    def run_once(checkout, workload, args):
-        calls.append(workload)
-        scale = slower.get(workload, 1.0) if checkout == pairs.ROOT else 1.0
+    def run_once(checkout, workload, seed, args):
+        calls.append((workload, seed))
+        scale = slower.get((workload, seed), 1.0) if checkout == pairs.ROOT else 1.0
         jitter = 1.0 + 0.001 * len(calls)
         return {m["name"]: 10.0 * jitter * (scale if m["better"] == "lower" else 1.0)
                 for m in metrics}
+
+    def tables(out):
+        return [tuple(line.split()[:2]) for line in out.splitlines() if " pairs=2 " in line]
 
     monkeypatch.setattr(pairs, "run_once", run_once)
     argv = ["--parent", "no-such-parent", "--pairs", "2", "--seconds", "1"]
     assert pairs.main(argv + ["--workload", "verify,sweep-wide,sweep-deep"]) == 1
     out = capsys.readouterr().out
-    assert calls == ["verify"] * 4 + ["sweep-wide"] * 4 + ["sweep-deep"] * 4
-    tables = [line.split()[0] for line in out.splitlines() if "seed=1 pairs=2" in line]
-    assert tables == ["verify", "sweep-wide", "sweep-deep"]
-    wide = out[out.index("sweep-wide seed="):out.index("sweep-deep seed=")]
+    assert calls == [("verify", 1)] * 4 + [("sweep-wide", 1)] * 4 + [("sweep-deep", 1)] * 4
+    assert tables(out) == [("verify", "seed=1"), ("sweep-wide", "seed=1"),
+                           ("sweep-deep", "seed=1")]
+    wide = out[out.index("sweep-wide seed=1 pairs"):out.index("sweep-deep seed=1 pairs")]
     assert "regression" in wide and "regression" not in out.replace(wide, "")
     calls.clear()
     assert pairs.main(argv + ["--workload", "verify,sweep-deep"]) == 0
-    assert calls == ["verify"] * 4 + ["sweep-deep"] * 4
+    assert calls == [("verify", 1)] * 4 + [("sweep-deep", 1)] * 4
+    capsys.readouterr()
+    # a seed list runs every seed of one workload before the next workload
+    calls.clear()
+    slower = {("verify", 2): 1.5}
+    assert pairs.main(argv + ["--workload", "verify,sweep-deep", "--seed", "1..2"]) == 1
+    out = capsys.readouterr().out
+    assert calls == [(w, seed) for w in ("verify", "sweep-deep") for seed in (1, 2) for _ in range(4)]
+    assert tables(out) == [("verify", "seed=1"), ("verify", "seed=2"),
+                           ("sweep-deep", "seed=1"), ("sweep-deep", "seed=2")]
+    second = out[out.index("verify seed=2 pairs"):out.index("sweep-deep seed=1 pairs")]
+    assert "regression" in second and "regression" not in out.replace(second, "")
+    calls.clear()
+    assert pairs.main(argv + ["--workload", "sweep-deep", "--seed", "1,3"]) == 0
+    assert calls == [("sweep-deep", 1)] * 4 + [("sweep-deep", 3)] * 4
+    with pytest.raises(SystemExit):
+        pairs.main(argv + ["--workload", "verify", "--seed", "2..1"])
+    assert "empty seed range '2..1'" in capsys.readouterr().err
 
 
 def test_reproduce_verification_exits_1_when_a_report_moved(tmp_path, capsys):
@@ -988,3 +1008,28 @@ def test_cli_eval_past_the_double_range_exits_2(capsys):
                "--alpha=-0.3+0.2i", "--beta", "0.5"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["closed", "series"])
+def test_sweep_skips_an_order_whose_modulus_overflows(tmp_path, mode):
+    # |1.5e308 + 1.5e308i| has no double: a named error makes the point a
+    # skipped row, and the grid goes on
+    out = tmp_path / "grid.csv"
+    config = SweepConfig(a=(3.0 + 0j,), k=(2.5 + 0j, 1.5e308 + 1.5e308j), alpha=(0.3 + 0j,),
+                         beta=(-0.55 + 0j,), mode=mode, output_path=str(out))
+    summary = run_sweep(config)
+    assert (summary.points_evaluated, summary.failures) == (2, 1)
+    with open(out, newline="") as fh:
+        regular, skipped = list(csv.DictReader(fh))
+    assert regular[f"{mode}_re"] != "" and "skipped" not in regular["warnings"]
+    assert skipped["warnings"] == (
+        "skipped-with-warning: |k| overflows a double at k=(1.5e+308+1.5e+308j)")
+    assert skipped[f"{mode}_re"] == ""
+
+
+def test_cli_eval_at_an_order_whose_modulus_overflows_exits_2(capsys):
+    rc = main(["eval", "--a", "3", "--k", "1.5e308+1.5e308i", "--alpha", "0.3",
+               "--beta", "-0.55"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: |k| overflows a double at k=(1.5e+308+1.5e+308j)\n")

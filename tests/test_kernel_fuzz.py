@@ -39,6 +39,11 @@ left half of the pocket disc from about n = 15 on, and E_(1-n)(w)
 overflowing with Gamma(n, w) although w^-n brings the value back into
 range.
 
+One fuzz needs no oracle: at real s, Gamma(s, conj w) = conj Gamma(s, w)
+(Schwarz reflection, DLMF 8.2) bit for bit in every outcome of the regime
+map, and so do ``cexp`` and ``cpow`` on the unit circle.  The angle form
+of the closed expression relies on it to take one root per side.
+
 The last check holds the one scaling step e^a e^b sum of every regime to
 the rounding of its folded exponent where it switches from the split form
 to the folded one.
@@ -58,6 +63,7 @@ import random
 import pytest
 
 from chebgamma import PoleError, complexfn, exp_integral_e, lower_gamma, upper_gamma
+from chebgamma._flags import collect
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -451,6 +457,62 @@ def test_upper_gamma_at_a_far_negative_order_stays_cheap(monkeypatch):
     with mpmath.workdps(30):
         want = complex(mpmath.gammainc(-1e5 + 0.5, 1))
     assert rel(got, want) <= 1e-13, (got, want)
+
+
+def same_bits(x, y):
+    return all(u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+               for u, v in ((x.real, y.real), (x.imag, y.imag)))
+
+
+def outcome(kernel, *args):
+    """(value, error type name, flags) of one kernel call."""
+    with collect() as seen:
+        try:
+            value, error = kernel(*args), None
+        except Exception as exc:
+            value, error = None, type(exc).__name__
+    return value, error, sorted(seen)
+
+
+def test_upper_gamma_at_real_orders_is_conjugate_symmetric_bit_for_bit():
+    rng = random.Random(31)
+    quota = 40
+    per_regime = dict.fromkeys(("asymptotic", "terminating", "kummer", "series",
+                                "left-disc", "fraction"), 0)
+    for _ in range(20000):
+        if min(per_regime.values()) >= quota:
+            break
+        kind = rng.randrange(3)
+        s = (float(rng.randint(1, 20)) if kind == 0 else float(-rng.randint(0, 30))
+             if kind == 1 else rng.uniform(-40.0, 250.0))
+        if rng.random() < 0.4:
+            w = near_cut(rng, log_uniform(rng, 1.0, 3000.0))
+        else:
+            w = any_angle(rng, log_uniform(rng, 1e-2, 3000.0))
+        if w.imag == 0.0:
+            continue
+        per_regime[complexfn._gamma_regime(complex(s), w, upper=True)] += 1
+        value, error, flags = outcome(upper_gamma, s, w)
+        mirror, mirror_error, mirror_flags = outcome(upper_gamma, s, w.conjugate())
+        assert (mirror_error, mirror_flags) == (error, flags), (s, w)
+        if value is not None and cmath.isfinite(value):
+            assert same_bits(mirror, value.conjugate()), (s, w, value, mirror)
+        elif value is not None:
+            # a saturated Gamma(s) keeps the sign of its zero imaginary part
+            assert not cmath.isfinite(mirror), (s, w, value, mirror)
+    assert min(per_regime.values()) >= quota, per_regime
+
+
+def test_cexp_and_cpow_are_conjugate_symmetric_on_the_unit_circle():
+    rng = random.Random(32)
+    for _ in range(2000):
+        t = complex(rng.uniform(-7.0, 7.0), rng.choice((0.0, -0.0)))
+        x = complexfn.cexp(-1j * t)
+        assert same_bits(x, complexfn.cexp(1j * t).conjugate()), t
+        # exponent 0 leaves the sign of a zero imaginary part open; the angle
+        # form refuses k = 0
+        k = rng.choice((float(rng.choice((-1, 1)) * rng.randint(1, 30)), rng.uniform(-60.0, 260.0)))
+        assert same_bits(complexfn.cpow(x.conjugate(), k), complexfn.cpow(x, k).conjugate()), (t, k)
 
 
 @pytest.mark.parametrize("z", (-10.0, -11.0, -1e6, -2.0 ** 60, complex(-57.0, 1e-13)))
