@@ -15,7 +15,7 @@ importing the package, evaluating a point or running a sweep does not
 pay for it.
 """
 
-from .chebyshev import ShellCoefficient, cheb_t, growth_radius, shell_coeff, shell_values
+from .chebyshev import cheb_t, growth_radius, shell_coeff, shell_values
 from .closedform import (
     TWELVE_TERMS,
     ContourTermSpec,
@@ -30,9 +30,7 @@ from .closedform import (
     prop1_value,
 )
 from .complexfn import (
-    GammaBranchSpec,
     analytic_continuation_gamma,
-    erf_complex,
     erfc_complex,
     exp_integral_e,
     gamma_fn,
@@ -68,14 +66,12 @@ __all__ = [
     "CaseReport",
     "ConfigError",
     "ContourTermSpec",
-    "GammaBranchSpec",
     "KernelDomainError",
     "LimitSpec",
     "NonConvergenceError",
     "PoleError",
     "SeriesParams",
     "SeriesResult",
-    "ShellCoefficient",
     "SingularParameterError",
     "SweepConfig",
     "SweepSummary",
@@ -91,7 +87,6 @@ __all__ = [
     "contour_term",
     "diff_closed_form",
     "difference_series",
-    "erf_complex",
     "erfc_complex",
     "erfc_product_value",
     "exp_integral_e",

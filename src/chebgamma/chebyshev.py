@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 from .complexfn import csqrt
 from .errors import KernelDomainError
 
-__all__ = ["ShellCoefficient", "cheb_t", "growth_radius", "shell_coeff", "shell_values"]
+__all__ = ["cheb_t", "growth_radius", "shell_coeff", "shell_values"]
 
 
 def _as_index(n, name: str) -> int:
@@ -42,14 +41,6 @@ def cheb_t(n: int, x) -> complex:
     for _ in range(n):
         t0, t1 = t1, two_x * t1 - t0
     return t0
-
-
-@dataclass(frozen=True)
-class ShellCoefficient:
-    """One shell q of the convolution, C_q = sum_n T_n(alpha) T_{q-n}(beta)."""
-
-    q: int
-    value: complex
 
 
 def _drive_key(x: complex) -> tuple:
@@ -96,11 +87,11 @@ def _shell_stream(alpha: complex, beta: complex):
         t0, t1 = t1, two_d * t1 - t0
 
 
-def shell_coeff(q: int, alpha, beta) -> ShellCoefficient:
-    """Convolution coefficient for shell q at (alpha, beta), read off the stream."""
+def shell_coeff(q: int, alpha, beta) -> complex:
+    """C_q = sum_n T_n(alpha) T_{q-n}(beta) at (alpha, beta), read off the stream."""
     q = _as_index(q, "q")
     shells = _shell_stream(complex(alpha), complex(beta))
-    return ShellCoefficient(q=q, value=complex(next(islice(shells, q, None))))
+    return complex(next(islice(shells, q, None)))
 
 
 def shell_values(q_max: int, alpha, beta) -> list:

@@ -86,15 +86,22 @@ _MOAT = 1e-6
 
 def _check_regular(params: SeriesParams, alpha_side: bool = True, beta_side: bool = True):
     k, alpha, beta = params.k, params.alpha, params.beta
-    if abs(alpha - beta) <= _MOAT:
-        raise SingularParameterError(
-            "alpha and beta coincide (removable singularity); use limit_eval")
-    if alpha_side and min(abs(alpha - 1.0), abs(alpha + 1.0)) <= _MOAT:
-        raise SingularParameterError(
-            "alpha sits at +-1 (removable singularity); use limit_eval")
-    if beta_side and min(abs(beta - 1.0), abs(beta + 1.0)) <= _MOAT:
-        raise SingularParameterError(
-            "beta sits at +-1 (removable singularity); use limit_eval")
+    # abs raises OverflowError where a modulus has no double; a try costs
+    # nothing on the path that does not raise, unlike a call per modulus
+    try:
+        if abs(alpha - beta) <= _MOAT:
+            raise SingularParameterError(
+                "alpha and beta coincide (removable singularity); use limit_eval")
+        if alpha_side and min(abs(alpha - 1.0), abs(alpha + 1.0)) <= _MOAT:
+            raise SingularParameterError(
+                "alpha sits at +-1 (removable singularity); use limit_eval")
+        if beta_side and min(abs(beta - 1.0), abs(beta + 1.0)) <= _MOAT:
+            raise SingularParameterError(
+                "beta sits at +-1 (removable singularity); use limit_eval")
+    except OverflowError:
+        raise KernelDomainError(
+            f"|alpha - beta|, |alpha| or |beta| overflows a double at alpha={alpha}, "
+            f"beta={beta}") from None
     if _modulus(k, "k") <= _MOAT or abs(k + 1.0) <= _MOAT:
         raise SingularParameterError(
             "k at 0 or -1 divides the prefactor to zero; use limit_eval "
@@ -103,17 +110,14 @@ def _check_regular(params: SeriesParams, alpha_side: bool = True, beta_side: boo
         raise SingularParameterError("a*pi must be nonzero")
 
 
-_PREFACTOR_KINDS = {1: "unit", 0: "alpha-plus-beta", -1: "alpha-beta-product"}
-
-
 @dataclass(frozen=True)
 class ContourTermSpec:
     """One addend of the twelve-term decomposition.
 
     (variable, root_sign, order_shift) is a primary key: the twelve specs
     tile {alpha-side, beta-side} x {+, -} x {-1, 0, +1}.  The gamma order
-    is k + 1 + order_shift; the prefactor kind follows the shift (unit at
-    +1, alpha-plus-beta at 0, alpha-beta-product at -1).
+    is k + 1 + order_shift, and the shift alone picks the prefactor: 1 at
+    +1, alpha + beta at 0, alpha beta at -1.
     """
 
     index: int
@@ -128,10 +132,6 @@ class ContourTermSpec:
             raise ConfigError(f"bad root_sign {self.root_sign!r}")
         if self.order_shift not in (-1, 0, 1):
             raise ConfigError(f"bad order_shift {self.order_shift!r}")
-
-    @property
-    def prefactor_kind(self) -> str:
-        return _PREFACTOR_KINDS[self.order_shift]
 
 
 TWELVE_TERMS = (
@@ -327,12 +327,18 @@ def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
     other's: six incomplete gammas instead of twelve, and every bit kept.
     Any complex input runs all four roots.  The orders stay the literal k, k + 1 and k + 2,
     three kernels per root and no recurrence between them, so that this
-    route stays independent of closed_form.
+    route stays independent of closed_form.  An angle whose cosine or
+    sine overflows a double raises KernelDomainError.
     """
     a, k = _scalar(a, "a"), _scalar(k, "k")
     ta, tb = _scalar(theta_alpha, "theta_alpha"), _scalar(theta_beta, "theta_beta")
-    ca, cb = cmath.cos(ta), cmath.cos(tb)
-    sina, sinb = cmath.sin(ta), cmath.sin(tb)
+    try:
+        ca, cb = cmath.cos(ta), cmath.cos(tb)
+        sina, sinb = cmath.sin(ta), cmath.sin(tb)
+    except OverflowError:
+        raise KernelDomainError(
+            f"cos or sin of an angle overflows a double at theta_alpha={ta}, "
+            f"theta_beta={tb}") from None
     probe = SeriesParams(a=a, k=k, alpha=ca, beta=cb)
     _check_regular(probe)
     if abs(sina) <= _MOAT or abs(sinb) <= _MOAT:
@@ -556,17 +562,15 @@ def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
     with _shared_root_pairs():
         values = [closed_form(perturbed(params, limit.eps0 * 0.5 ** j))
                   for j in range(limit.levels)]
-    rows = []
+    prev, diag = [], []
     for j, value in enumerate(values):
         # Neville update of the Richardson tableau, ratio 2, order 1 model
         row = [value]
-        prev = rows[-1] if rows else None
-        if prev is not None:
-            for m in range(1, j + 1):
-                weight = 2.0 ** m
-                row.append((weight * row[m - 1] - prev[m - 1]) / (weight - 1.0))
-        rows.append(row)
-    diag = [rows[j][j] for j in range(limit.levels)]
+        for m in range(1, j + 1):
+            weight = 2.0 ** m
+            row.append((weight * row[m - 1] - prev[m - 1]) / (weight - 1.0))
+        diag.append(row[j])
+        prev = row
     scale = max(abs(diag[-1]), 1e-300)
     # The perturbed evaluations sit in a 0/0 region and lose up to
     # eps^-2 ~ 1e7 machine epsilons to cancellation, so the tableau

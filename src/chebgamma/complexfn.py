@@ -77,15 +77,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from ._flags import OVERFLOW_SATURATION, flag
 from .errors import KernelDomainError, NonConvergenceError, PoleError
 
 __all__ = [
-    "GammaBranchSpec",
     "analytic_continuation_gamma",
-    "erf_complex",
     "erfc_complex",
     "exp_integral_e",
     "gamma_fn",
@@ -586,32 +583,21 @@ def lower_gamma(s, z) -> complex:
     return gamma_fn(s) - upper_gamma(s, z)
 
 
-@dataclass(frozen=True)
-class GammaBranchSpec:
-    """Which sheet of Gamma(s, z) to evaluate: z carried around 0 `winding` times."""
-
-    winding: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.winding, int):
-            raise KernelDomainError("winding must be an integer")
-
-
-def analytic_continuation_gamma(s, z, branch: GammaBranchSpec | int = 0) -> complex:
+def analytic_continuation_gamma(s, z, winding: int = 0) -> complex:
     """Gamma(s, z e^{2 pi i m}) continued off the principal sheet.
 
-    Uses Gamma(s, z e^{2 pi i m}) = e^{2 pi i m s} Gamma(s, z)
-    + (1 - e^{2 pi i m s}) Gamma(s).  winding 0 returns upper_gamma
-    exactly (same code path, no phase factor applied).
+    The sheet is the one reached by carrying z around 0 m = ``winding``
+    times, an integer.  Uses Gamma(s, z e^{2 pi i m}) = e^{2 pi i m s}
+    Gamma(s, z) + (1 - e^{2 pi i m s}) Gamma(s).  winding 0 returns
+    upper_gamma exactly (same code path, no phase factor applied).
     """
     s = _as_complex(s, "s")
     z = _as_complex(z, "z")
-    m = branch.winding if isinstance(branch, GammaBranchSpec) else branch
-    if not isinstance(m, int):
+    if not isinstance(winding, int):
         raise KernelDomainError("branch winding must be an integer")
-    if m == 0:
+    if winding == 0:
         return upper_gamma(s, z)
-    phase = cexp(2j * math.pi * m * s)
+    phase = cexp(2j * math.pi * winding * s)
     return phase * upper_gamma(s, z) + (1.0 - phase) * gamma_fn(s)
 
 
@@ -646,8 +632,3 @@ def erfc_complex(z) -> complex:
     if out == 0.0:
         flag(OVERFLOW_SATURATION)
     return out
-
-
-def erf_complex(z) -> complex:
-    """erf(z) = 1 - erfc(z)."""
-    return 1.0 - erfc_complex(z)

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 from ._flags import collect
 from .closedform import (
+    _DIFF_BRANCH_SENSITIVE,
     TWELVE_TERMS,
     LimitSpec,
     closed_form,
@@ -119,11 +120,11 @@ def _case_rng(seed: int, case_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _draw_pair(rng: random.Random, bound: float = 0.9, gap: float = 0.1):
+def _draw_pair(rng: random.Random):
     while True:
-        alpha = rng.uniform(-bound, bound)
-        beta = rng.uniform(-bound, bound)
-        if abs(alpha - beta) >= gap:
+        alpha = rng.uniform(-0.9, 0.9)
+        beta = rng.uniform(-0.9, 0.9)
+        if abs(alpha - beta) >= 0.1:
             return alpha, beta
 
 
@@ -191,7 +192,7 @@ def _draw_angles(rng: random.Random):
 def _diff_cases():
     """The five difference-identity rows, alpha = beta = c for c = 1..5."""
     for c in range(1, 6):
-        note = " (branch-sensitive)" if c in (3, 5) else ""
+        note = " (branch-sensitive)" if c in _DIFF_BRANCH_SENSITIVE else ""
         yield VerificationCase(
             f"diff-c{c}",
             f"odd-shell difference identity at alpha = beta = {c}{note}",

@@ -87,10 +87,10 @@ def test_beyond_unit_interval_example_magnitude():
 # ----------------------------------------------------------------- shells
 
 def test_shell_anchor_values():
-    assert shell_coeff(0, 0.3, -0.8).value == 1.0
+    assert shell_coeff(0, 0.3, -0.8) == 1.0
     a, b = 0.42, -0.77
-    assert abs(shell_coeff(1, a, b).value - (a + b)) < 1e-15
-    assert shell_coeff(2, 0.0, 0.0).value == -2.0
+    assert abs(shell_coeff(1, a, b) - (a + b)) < 1e-15
+    assert shell_coeff(2, 0.0, 0.0) == -2.0
 
 
 def test_shell_swap_is_bit_identical():
@@ -99,7 +99,7 @@ def test_shell_swap_is_bit_identical():
         q = rng.randrange(0, 25)
         alpha = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         beta = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        assert shell_coeff(q, alpha, beta).value == shell_coeff(q, beta, alpha).value
+        assert shell_coeff(q, alpha, beta) == shell_coeff(q, beta, alpha)
 
 
 def test_shell_values_matches_single_calls():
@@ -107,7 +107,15 @@ def test_shell_values_matches_single_calls():
     vals = shell_values(12, alpha, beta)
     assert len(vals) == 13
     for q, v in enumerate(vals):
-        assert v == shell_coeff(q, alpha, beta).value
+        assert v == shell_coeff(q, alpha, beta)
+
+
+def test_shell_coeff_is_a_complex():
+    # shells 0 and 1 start from float 1.0 and 0.0 + (alpha + beta), and real
+    # floats run the whole stream in float arithmetic
+    for q in (0, 1, 2, 9):
+        for alpha, beta in ((0.3, -0.5), (0.6 + 0.1j, -0.4), (2, 3)):
+            assert type(shell_coeff(q, alpha, beta)) is complex
 
 
 def test_shell_enumeration_oracle():
@@ -118,7 +126,7 @@ def test_shell_enumeration_oracle():
         beta = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.5, 0.5))
         direct = sum(cheb_poly_direct(n, alpha) * cheb_poly_direct(q - n, beta)
                      for n in range(q + 1))
-        got = shell_coeff(q, alpha, beta).value
+        got = shell_coeff(q, alpha, beta)
         assert abs(got - direct) <= 1e-10 * max(abs(direct), 1.0)
 
 

@@ -70,10 +70,6 @@ def test_twelve_specs_tile_the_key_space():
                     for r in ("+", "-")
                     for d in (-1, 0, 1)}
     assert [s.index for s in TWELVE_TERMS] == list(range(1, 13))
-    # Prefactor kind is determined by the order shift.
-    by_shift = {1: "unit", 0: "alpha-plus-beta", -1: "alpha-beta-product"}
-    for s in TWELVE_TERMS:
-        assert s.prefactor_kind == by_shift[s.order_shift]
 
 
 def test_term_sum_equals_assembled_form_200_draws():
@@ -322,6 +318,27 @@ def test_cosine_form_rejects_angle_moat():
 def test_cosine_form_refuses_an_order_whose_modulus_overflows():
     with pytest.raises(KernelDomainError, match=r"\|k\| overflows a double"):
         closed_form_cos(3.0, 1.5e308 + 1.5e308j, 1.1, 2.0)
+
+
+def test_closed_forms_refuse_an_argument_whose_modulus_overflows():
+    huge = 1.5e308 + 1.5e308j
+    p = params(huge, -0.55, 2.5, 3.0 * math.pi)
+    with pytest.raises(KernelDomainError, match=r"\|alpha\| or \|beta\| overflows a double"):
+        closed_form(p)
+    for spec in TWELVE_TERMS:
+        with pytest.raises(KernelDomainError, match="overflows a double"):
+            contour_term(spec, p)
+    # alpha - beta has a modulus here, alpha -+ 1 and beta -+ 1 do not
+    near = 1.5e308 + 1.4999999999e308j
+    with pytest.raises(KernelDomainError, match="overflows a double"):
+        closed_form(params(huge, near, 2.5, 3.0 * math.pi))
+    with pytest.raises(KernelDomainError, match="overflows a double"):
+        contour_term(TWELVE_TERMS[-1], params(near, huge, 2.5, 3.0 * math.pi))
+    # cos and sin of the angle overflow before any modulus is taken
+    with pytest.raises(KernelDomainError, match="overflows a double"):
+        closed_form_cos(3.0, 2.5, huge, 0.5)
+    with pytest.raises(KernelDomainError, match="overflows a double"):
+        closed_form_cos(3.0, 2.5, 0.5, huge)
 
 
 def _cosine_points():

@@ -4,10 +4,13 @@ The verification harness, and ``hashlib`` and ``json`` behind it, load on
 first use, and the sweep writer imports ``json`` and ``csv`` only on the
 paths that write them.  So a fresh interpreter that imports ``chebgamma``
 and ``chebgamma.cli`` and parses a sweep config, as every ``chebgamma``
-command does before it runs, loads none of them.
+command does before it runs, loads none of them.  Every name the package
+and its submodules export still resolves once they are loaded.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +56,12 @@ def test_harness_names_resolve_on_first_use():
     assert listed == sorted(listed)
     with pytest.raises(AttributeError, match="no_such_name"):
         chebgamma.no_such_name
+
+
+def test_every_submodule_export_resolves():
+    for info in pkgutil.iter_modules(chebgamma.__path__):
+        module = importlib.import_module(f"chebgamma.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+    retired = {"GammaBranchSpec", "ShellCoefficient", "erf_complex", "prefactor_kind"}
+    assert retired.isdisjoint(chebgamma.__all__)

@@ -1033,3 +1033,27 @@ def test_cli_eval_at_an_order_whose_modulus_overflows_exits_2(capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: |k| overflows a double at k=(1.5e+308+1.5e+308j)\n")
+
+
+def test_closed_sweep_skips_an_argument_whose_modulus_overflows(tmp_path):
+    out = tmp_path / "grid.csv"
+    config = SweepConfig(a=(3.0 + 0j,), k=(2.5 + 0j,), alpha=(0.3 + 0j, 1.5e308 + 1.5e308j),
+                         beta=(-0.55 + 0j,), mode="closed", output_path=str(out))
+    summary = run_sweep(config)
+    assert (summary.points_evaluated, summary.failures) == (2, 1)
+    with open(out, newline="") as fh:
+        regular, skipped = list(csv.DictReader(fh))
+    assert regular["closed_re"] != "" and "skipped" not in regular["warnings"]
+    assert skipped["warnings"] == (
+        "skipped-with-warning: |alpha - beta|, |alpha| or |beta| overflows a double "
+        "at alpha=(1.5e+308+1.5e+308j), beta=(-0.55+0j)")
+    assert skipped["closed_re"] == ""
+
+
+@pytest.mark.parametrize("path", ["closed", "cos"])
+def test_cli_eval_at_an_argument_whose_modulus_overflows_exits_2(capsys, path):
+    rc = main(["eval", "--a", "3", "--k", "2.5", "--alpha", "1.5e308+1.5e308i",
+               "--beta", "-0.55", "--path", path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows a double" in err

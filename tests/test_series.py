@@ -142,7 +142,7 @@ def test_deep_shells_keep_symmetry_and_agree():
             vb = fn(params(beta, alpha, k, z)).value
             assert math.isfinite(abs(va)) and va == vb
         q = rng.randrange(16, 64)
-        assert shell_coeff(q, alpha, beta).value == shell_values(q, alpha, beta)[q]
+        assert shell_coeff(q, alpha, beta) == shell_values(q, alpha, beta)[q]
     alpha, beta, k, z = 0.35, -0.6, 120, 150.0
     res = series_sum(params(alpha, beta, float(k), z))
     assert res.shells_used == k + 1
@@ -467,5 +467,5 @@ def test_real_sums_return_complex():
         for fn in (series_sum, difference_series):
             res = fn(params(alpha, beta, k, z), TruncationPolicy(mode=mode))
             assert type(res.value) is complex
-    for value in (shell_coeff(0, 0.3, -0.5).value, *shell_values(3, 0.3, -0.5)):
+    for value in (shell_coeff(0, 0.3, -0.5), *shell_values(3, 0.3, -0.5)):
         assert type(value) is complex
