@@ -23,7 +23,7 @@ from .closedform import TWELVE_TERMS, closed_form, closed_form_cos, contour_term
 from .errors import ConfigError, KernelDomainError, NonConvergenceError, SingularParameterError
 from .series import _MODE_ALIAS, _MODES as _SERIES_MODES
 from .series import SeriesParams, TruncationPolicy, series_sum
-from .sweep import _open_in_place, parse_complex_literal, parse_sweep_config, run_sweep
+from .sweep import parse_complex_literal, parse_sweep_config, run_sweep
 
 __all__ = ["main"]
 
@@ -93,20 +93,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args) -> int:
     with collect() as seen:
-        if args.path == "closed":
-            value = closed_form(SeriesParams(a=args.a, k=args.k,
-                                             alpha=args.alpha, beta=args.beta))
-        elif args.path == "terms":
-            params = SeriesParams(a=args.a, k=args.k,
-                                  alpha=args.alpha, beta=args.beta)
-            value = 0j
-            for spec in TWELVE_TERMS:
-                term = contour_term(spec, params)
-                value += term
-                print(f"term {spec.index:2d} ({spec.variable}, root {spec.root_sign}, "
-                      f"shift {spec.order_shift:+d}) = {_fmt(term)}")
-        else:
+        if args.path == "cos":
             value = closed_form_cos(args.a, args.k, args.alpha, args.beta)
+        else:
+            params = SeriesParams(a=args.a, k=args.k, alpha=args.alpha, beta=args.beta)
+            if args.path == "closed":
+                value = closed_form(params)
+            else:
+                value = 0j
+                for spec in TWELVE_TERMS:
+                    term = contour_term(spec, params)
+                    value += term
+                    print(f"term {spec.index:2d} ({spec.variable}, root {spec.root_sign}, "
+                          f"shift {spec.order_shift:+d}) = {_fmt(term)}")
     print(f"value = {_fmt(value)}")
     print(f"warnings = {','.join(sorted(seen)) if seen else '-'}")
     return 0
@@ -132,7 +131,7 @@ def _cmd_verify(args) -> int:
     reports = run_all(seed=seed, only=args.case)
     sys.stdout.write(render_report_text(reports, seed))
     if args.json is not None:
-        with _open_in_place(args.json) as fh:
+        with open(args.json, "w") as fh:
             fh.write(render_report_json(reports, seed))
     return 1 if any(r.status == "fail" for r in reports) else 0
 

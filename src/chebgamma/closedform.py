@@ -84,6 +84,13 @@ __all__ = [
 _MOAT = 1e-6
 
 
+def _overflow_error(params: SeriesParams) -> KernelDomainError:
+    # for an abs() of alpha, beta or their distance that overflowed
+    return KernelDomainError(
+        f"|alpha - beta|, |alpha| or |beta| overflows a double at alpha={params.alpha}, "
+        f"beta={params.beta}")
+
+
 def _check_regular(params: SeriesParams, alpha_side: bool = True, beta_side: bool = True):
     k, alpha, beta = params.k, params.alpha, params.beta
     # abs raises OverflowError where a modulus has no double; a try costs
@@ -99,9 +106,7 @@ def _check_regular(params: SeriesParams, alpha_side: bool = True, beta_side: boo
             raise SingularParameterError(
                 "beta sits at +-1 (removable singularity); use limit_eval")
     except OverflowError:
-        raise KernelDomainError(
-            f"|alpha - beta|, |alpha| or |beta| overflows a double at alpha={alpha}, "
-            f"beta={beta}") from None
+        raise _overflow_error(params) from None
     if _modulus(k, "k") <= _MOAT or abs(k + 1.0) <= _MOAT:
         raise SingularParameterError(
             "k at 0 or -1 divides the prefactor to zero; use limit_eval "
@@ -203,8 +208,7 @@ def _root_pair(z: complex, k: complex, x: complex) -> tuple:
     and x + i s in that order, the factors (e^(z X), X^(-k-2), G(k+2),
     X^(-k-1), G(k+1), X^(-k), G(k)) with G(t) = Gamma(t, z X).  The three
     powers share one logarithm: X^t = cexp(t clog(X)), exactly what
-    ``cpow`` computes, with clog(X) taken once per root.  X = 0 has no
-    logarithm and keeps ``cpow``.
+    ``cpow`` computes, with clog(X) taken once per root.
     """
     s = csqrt(1.0 - x * x)
     x_minus, x_plus = x - 1j * s, x + 1j * s
@@ -217,12 +221,6 @@ def _root_pair(z: complex, k: complex, x: complex) -> tuple:
     roots = []
     for big_x in (x_minus, x_plus):
         zx = z * big_x
-        if big_x == 0:
-            roots.append((cexp(zx),
-                          cpow(big_x, -k - 2), upper_gamma(k + 2, zx),
-                          cpow(big_x, -k - 1), upper_gamma(k + 1, zx),
-                          cpow(big_x, -k), upper_gamma(k, zx)))
-            continue
         log_x = clog(big_x)
         roots.append((cexp(zx),
                       cexp((-k - 2) * log_x), upper_gamma(k + 2, zx),
@@ -339,11 +337,9 @@ def closed_form_cos(a, k, theta_alpha, theta_beta) -> complex:
         raise KernelDomainError(
             f"cos or sin of an angle overflows a double at theta_alpha={ta}, "
             f"theta_beta={tb}") from None
-    probe = SeriesParams(a=a, k=k, alpha=ca, beta=cb)
-    _check_regular(probe)
-    if abs(sina) <= _MOAT or abs(sinb) <= _MOAT:
-        raise SingularParameterError(
-            "sin(theta) vanishes (cos theta at +-1); use limit_eval")
+    # cos theta lies within |sin theta|^2 of the nearer of +-1, so no sine
+    # within the moat of 0 passes this check, and no cosecant below is 1/0
+    _check_regular(SeriesParams(a=a, k=k, alpha=ca, beta=cb))
     z = a * math.pi
     mirrored = not (a.imag or k.imag or ta.imag or tb.imag)
     xm, ym = cexp(-1j * ta), cexp(-1j * tb)
@@ -556,7 +552,11 @@ def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
     1 - eps_(j-1)), so n levels compute n + 1 root pairs, not 2n.
     """
     on_singular_set, perturbed = _LIMIT_KINDS[limit.kind]
-    if not on_singular_set(params):
+    try:
+        on_set = on_singular_set(params)
+    except OverflowError:
+        raise _overflow_error(params) from None
+    if not on_set:
         raise SingularParameterError(
             f"params do not sit on the {limit.kind} singular set")
     with _shared_root_pairs():

@@ -28,18 +28,22 @@ the tolerance stop alone, for every k, so a terminating k may stop
 before shell k.  Both modes stop at ``max_shell``.
 
 Two loops do the summing.  A terminating k under ``optimal`` runs a
-plain loop over shells 0..min(k, max_shell) that reads the term, the
-weight and z^(-q) and nothing else, and checks once after the loop that
-the sum and the weights stayed finite, so on an exact sum
-``overflow-saturation`` means the value, a term or a weight saturated,
-never the envelope.  Only when the budget cuts that sum short does it
-replay the envelope below to the next shell, for the error estimate.
-Every other sum runs the stop-rule loop, which also steps the envelope
-and gives up once a shell overflows; at a terminating k under ``fixed``
-an overflowed envelope only ends the tolerance stop, and the sum runs on
-to its bound.  Past the budget both sums take the stop-rule loop's walk
-over zero-weight shells to the next contributing shell, whose envelope
-the error reports.
+plain loop over shells 0..min(Q, max_shell), with Q the last shell of
+non-zero weight (k itself, or k - 1 for the difference series at an even
+k), that reads the term, the weight and z^(-q) and nothing else.  It
+checks once after the loop that the sum stayed finite: a weight or power
+of z that overflows at a summed shell leaves the sum non-finite, and
+nothing past the last summed shell is formed or read.  So on an exact
+sum ``overflow-saturation`` means the value or a term saturated, never
+the envelope or a shell past the sum.  Only when the budget cuts that
+sum short does it replay the envelope below to the next shell, for the
+error estimate.  Every other sum runs the stop-rule loop, which also
+steps the envelope and gives up once a shell overflows; at a terminating
+k under ``fixed`` an overflowed envelope only ends the tolerance stop,
+and the sum runs on to its bound.  Past the budget both sums take the
+stop-rule loop's walk over zero-weight shells to the next contributing
+shell, whose envelope the error reports; a walk that overflows before it
+gets there ends on a zero-weight shell, and its error reads inf.
 
 Real a, k, alpha and beta run both loops and the shell stream in float
 arithmetic, through the same code as complex ones: every finite value
@@ -198,11 +202,13 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     only ever sees contributing shells.
 
     A terminating k outside ``fixed`` takes the plain loop over shells
-    0..min(bound, max_shell).  It reads the weighted shell (the shell
-    itself under unit weights), the weight and z^(-q), and checks once
-    after the loop that the sum and the weights stayed finite.  Only when
-    the budget cuts the sum short does it compute the growth radius and
-    replay the envelope to the next shell, for the error estimate.
+    0..min(top, max_shell), with top the last shell of non-zero weight.
+    It reads the weighted shell (the shell itself under unit weights),
+    the weight and z^(-q), and checks after the loop only that the sum
+    stayed finite; the weight and z^(-q) left over belong to the next
+    shell, which no exact sum reads.  Only when the budget cuts the sum
+    short does it compute the growth radius and replay the envelope to
+    the next shell, for the error estimate.
 
     Every other sum takes the stop-rule loop, which also steps the
     envelope and compares each shell's with the previous one: the
@@ -214,6 +220,8 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     Past the budget both sums share the stop-rule loop's walk: it steps
     over zero-weight shells to the next contributing one, whose envelope
     the error reports, unless none is left or the sum has overflowed.
+    An error read at a zero-weight shell, where the walk overflowed
+    before the next contributing one, is inf.
 
     Real z, k, alpha and beta are narrowed to floats first, so a real sum
     runs both loops in float arithmetic.
@@ -235,10 +243,10 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     alpha, beta = _narrow(params.alpha), _narrow(params.beta)
     fixed = policy.mode == "fixed"
     warnings = set()
-    last = policy.max_shell if bound is None else min(bound, policy.max_shell)
     # the last shell of non-zero weight, so a sum that passes it is exact
     # (past the bound the weight is 0, nan once it has overflowed)
     top = math.inf if bound is None else bound if weights[bound % 2] else bound - 1
+    last = min(top, policy.max_shell)
     shells = _shell_stream(alpha, beta)
     inv_z = 1.0 / z
     abs_inv_z = abs(inv_z)
@@ -266,9 +274,11 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
             recip *= k - q
             zpow *= inv_z
         used = sum(map(bool, islice(cycle(weights), last + 1)))
-        # a non-finite sum or weight stays non-finite, so one check covers
-        # every shell
-        if not (cmath.isfinite(acc) and cmath.isfinite(recip) and cmath.isfinite(zpow)):
+        # a weight or power of z that overflows at a summed shell leaves the
+        # sum non-finite, so one check covers every shell; recip and zpow
+        # are now shell last + 1's: no exact sum reads them, and the walk
+        # past the budget checks them itself
+        if not cmath.isfinite(acc):
             warnings.add(OVERFLOW_SATURATION)
         q = last + 1
         if q <= top:
@@ -329,8 +339,10 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     if not math.isfinite(env):
         # the error estimate of a sum cut short has saturated
         warnings.add(OVERFLOW_SATURATION)
+    # the walk ends on a zero-weight shell only when it overflowed before
+    # the next contributing one, whose scale it then cannot bound
     m = abs(weights[q % 2])
-    err = (m * env if m else 0.0) + _ROUNDOFF_FACTOR * _EPS * abs_acc
+    err = (m * env if m else math.inf) + _ROUNDOFF_FACTOR * _EPS * abs_acc
     return _finish(acc, used, "budget-exhausted", err, warnings)
 
 

@@ -231,8 +231,14 @@ def _evaluate_point(a, k, alpha, beta, config):
     if skip is not None:
         notes.append(skip)
     elif series_value is not None and closed_value is not None:
-        denom = max(abs(series_value), abs(closed_value), 1e-300)
-        rel_diff = abs(series_value - closed_value) / denom
+        try:
+            denom = max(abs(series_value), abs(closed_value), 1e-300)
+            rel_diff = abs(series_value - closed_value) / denom
+        except OverflowError:
+            # a finite value whose modulus has no double: quartering is
+            # exact, keeps the ratio and brings every modulus back in range
+            s, c = 0.25 * series_value, 0.25 * closed_value
+            rel_diff = abs(s - c) / max(abs(s), abs(c))
     return (*series, series_err, *closed, rel_diff, "; ".join(notes)), skip is not None
 
 

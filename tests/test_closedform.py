@@ -18,6 +18,7 @@ import pytest
 import chebgamma.closedform as cf
 from chebgamma import (
     ConfigError,
+    ContourTermSpec,
     KernelDomainError,
     LimitSpec,
     NonConvergenceError,
@@ -578,6 +579,16 @@ def test_limit_requires_singular_point():
         limit_eval(params(0.3, -0.2, 2.0, 10.0), LimitSpec(kind="alpha-to-beta"))
 
 
+@pytest.mark.parametrize("kind", ["alpha-to-beta", "alpha-to-one", "alpha-to-minus-one",
+                                  "both-to-one"])
+def test_limit_refuses_an_argument_whose_modulus_overflows(kind):
+    with pytest.raises(KernelDomainError) as err:
+        limit_eval(params(1.5e308 + 1.5e308j, -0.55, 2.5, 3.0 * math.pi), LimitSpec(kind=kind))
+    assert str(err.value) == (
+        "|alpha - beta|, |alpha| or |beta| overflows a double at "
+        "alpha=(1.5e+308+1.5e+308j), beta=(-0.55+0j)")
+
+
 def test_limit_both_to_one_order_one_anchor():
     got = limit_eval(params(1.0, 1.0, 1.0, 10.0), LimitSpec(kind="both-to-one"))
     assert rel(got, 1.2) < 1e-8
@@ -754,3 +765,19 @@ def test_a_scope_ends_with_its_block_and_restores_the_outer_one(monkeypatch):
             closed_form(params(0.3, 0.3, 2.5, 20.0))
     closed_form(p)
     assert len(calls) == 48
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((1, "gamma-side", "+", 1), "bad variable 'gamma-side'"),
+    ((1, "alpha-side", "*", 1), "bad root_sign '*'"),
+    ((1, "alpha-side", "+", 2), "bad order_shift 2"),
+])
+def test_contour_term_spec_refuses_a_bad_field(fields, message):
+    with pytest.raises(ConfigError) as err:
+        ContourTermSpec(*fields)
+    assert str(err.value) == message
+
+
+def test_closed_form_refuses_a_zero_a():
+    with pytest.raises(SingularParameterError, match=r"^a\*pi must be nonzero$"):
+        closed_form(params(0.3, -0.55, 2.5, 0.0))

@@ -160,6 +160,12 @@ def test_lower_gamma_pole_in_s():
         lower_gamma(-2.0, 1.0)
 
 
+def test_lower_gamma_at_zero_needs_a_positive_real_order():
+    with pytest.raises(KernelDomainError) as err:
+        lower_gamma(-0.5, 0.0)
+    assert str(err.value) == "lower_gamma(s, 0) requires Re(s) > 0"
+
+
 # --------------------------------------------------------------- regime map
 
 _NEAR_CUT_IM = math.sqrt(14.0 ** 2 - 10.0 ** 2)  # |z| + Re z = 4 at Re z = -10

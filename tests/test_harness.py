@@ -82,6 +82,13 @@ def test_compare_rejects_bad_tolerance():
         compare(1.0, 1.0, -1e-9)
 
 
+def test_compare_at_values_whose_modulus_has_no_double():
+    # abs() of either value overflows; the ratio is read from quartered values
+    assert compare(1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j, 1e-9) == (0.0, 0.0, True)
+    abs_err, rel_err, ok = compare(1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 1e-9)
+    assert (abs_err, rel_err, ok) == (math.inf, 2.0, False)
+
+
 # ---------------------------------------------------------------- registry
 
 def test_registry_matches_manifest():
@@ -260,6 +267,31 @@ def test_parse_sweep_config_errors_carry_line_numbers():
         parse_sweep_config("mode = both")
     assert "missing grid axes" in str(err.value)
     assert "a, k, alpha, beta" in str(err.value)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a 1", "line 1: expected 'key = value', got 'a 1'"),
+    ("max_shell = x", "max_shell must be an integer"),
+    ("rel_tol = x", "rel_tol must be a float"),
+])
+def test_parse_sweep_config_refuses_a_bad_line(line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_sweep_config(f"{line}\na = 1\nk = 1\nalpha = 0\nbeta = 0.5")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"alpha": ()}, "grid axis 'alpha' must be a nonempty tuple"),
+    ({"k": [1 + 0j]}, "grid axis 'k' must be a nonempty tuple"),
+    ({"beta": (0.5,)}, "grid axis 'beta' must contain complex values"),
+    ({"mode": "neither"}, "mode must be one of ('series', 'closed', 'both'), got 'neither'"),
+    ({"format": "xml"}, "format must be one of ('csv', 'json'), got 'xml'"),
+])
+def test_sweep_config_refuses_a_bad_field(change, message):
+    fields = {"a": (1 + 0j,), "k": (1 + 0j,), "alpha": (0j,), "beta": (0.5 + 0j,), **change}
+    with pytest.raises(ConfigError) as err:
+        SweepConfig(**fields)
+    assert str(err.value) == message
 
 
 def test_sweep_config_grid_cap():
@@ -1057,3 +1089,21 @@ def test_cli_eval_at_an_argument_whose_modulus_overflows_exits_2(capsys, path):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "overflows a double" in err
+
+
+
+def test_sweep_keeps_a_point_whose_values_have_no_double_modulus(tmp_path):
+    # At alpha = 0.3+0.6i both routes give about 1.5e308 (1 + i), a finite
+    # value whose modulus abs() cannot return; its rel_diff is still read,
+    # and the alpha = 0.1 row after it is written too.
+    out = tmp_path / "grid.csv"
+    config = SweepConfig(a=(2.122065907891937e-309 + 0j,), k=(1 + 0j,),
+                         alpha=(0.3 + 0.6j, 0.1 + 0j), beta=(0.7 + 0.4j,),
+                         output_path=str(out))
+    assert run_sweep(config).points_evaluated == 2
+    with open(out, newline="") as fh:
+        past, within = list(csv.DictReader(fh))
+    assert (past["series_re"], past["closed_re"]) == (
+        "1.5000000000000008e+308", "1.5000000000000138e+308")
+    assert float(past["rel_diff"]) == pytest.approx(9.126e-15, rel=1e-3)
+    assert within["alpha_re"] == "0.10000000000000001" and within["rel_diff"] != ""

@@ -13,6 +13,7 @@ import pytest
 
 from chebgamma import (
     ConfigError,
+    KernelDomainError,
     PoleError,
     SeriesParams,
     TruncationPolicy,
@@ -422,6 +423,58 @@ def test_walk_past_the_budget_reads_the_next_contributing_shell():
     assert short.termination == "budget-exhausted"
     assert "overflow-saturation" in short.warnings
     assert difference_series(point, TruncationPolicy(mode="fixed", max_shell=35)) == short
+
+
+@pytest.mark.parametrize("point, value", [
+    ((0.3, -0.55, 10.0, 1e-31), -1.0095080248511997e285),
+    ((0.5, 0.25, 4.0, 1e-78), 2.7000000000000014e235),
+])
+def test_exact_difference_sum_forms_no_zero_shell_past_its_end(point, value):
+    # an even k ends the difference series at q = k - 1; z^-k overflows, so
+    # forming the zero shell q = k would read 0 * inf = nan into the sum
+    with collect() as flags:
+        res = difference_series(params(*point))
+    assert (res.value, res.error_estimate, res.termination) == (
+        complex(value), 0.0, "terminated-exactly")
+    assert "overflow-saturation" not in flags
+    assert difference_series(params(*point), TruncationPolicy(mode="fixed")).value == res.value
+
+
+def test_finite_exact_sum_is_not_flagged_for_the_power_past_it():
+    # z^-11 overflows, but the sum ends at shell 10 and never reads it
+    with collect() as flags:
+        res = series_sum(params(0.3, -0.4, 10.0, 1e-30))
+    assert (res.value, res.termination, res.shells_used) == (
+        4.5572681819750354e305 + 0j, "terminated-exactly", 11)
+    assert "overflow-saturation" not in flags
+
+
+def test_walk_past_the_budget_is_not_ended_by_a_power_past_the_sum():
+    # the plain loop stops at max_shell = 9; z^-10 overflowed there, which
+    # must not end the walk before the next contributing shell, 11, whose
+    # envelope has overflowed
+    res = difference_series(params(0.3, -0.55, 20.0, 1e-31), TruncationPolicy(max_shell=9))
+    assert (res.termination, res.shells_used, res.error_estimate) == (
+        "budget-exhausted", 5, math.inf)
+    assert "overflow-saturation" in res.warnings
+
+
+def test_error_read_at_a_zero_weight_shell_is_inf():
+    # the fixed walk overflows at an even (zero-weight) shell before the
+    # next odd one: the error of the shells left out has no bound
+    point = params(-0.6408671472041461, 0.969791742288145, 171.84304044484043,
+                   0.008415454514567223)
+    res = difference_series(point, TruncationPolicy(mode="fixed"))
+    assert (res.value, res.termination, res.shells_used) == (
+        -2.4769708897046687e304 + 0j, "budget-exhausted", 37)
+    assert res.error_estimate == math.inf
+    assert "overflow-saturation" in res.warnings
+
+
+def test_series_refuses_a_zero_a():
+    for fn in (series_sum, difference_series):
+        with pytest.raises(KernelDomainError, match=r"^a\*pi must be nonzero$"):
+            fn(params(0.3, -0.4, 2.5, 0.0))
 
 
 def test_far_negative_argument_keeps_its_growth_radius():
