@@ -12,8 +12,8 @@ Two independent routes to the same value are implemented on purpose:
   variable.  Inside a ``_shared_root_pairs`` scope the calls share their
   pairs, keyed by the exact bits of (a*pi, k, x) and replaying the flags
   and errors each pair raised: a sweep opens one per (a, k) block, and
-  ``limit_eval`` one around its levels, so that n levels compute n + 1
-  root pairs instead of 2n.
+  ``limit_eval`` one around its six levels, so that they compute seven
+  root pairs instead of twelve.
 
 They share only the scalar kernels, so agreement between them is a real
 cross-check on the transcription.  ``closed_form_cos`` is the same
@@ -517,30 +517,35 @@ _LIMIT_KINDS = {
 }
 
 
+# limit_eval's perturbation ladder: eps_j = _LIMIT_EPS0 * 2^-j for j below
+# _LIMIT_LEVELS.  Its smallest step, 1e-2 * 2^-5 = 3.1e-4, stays far
+# outside the moat (2 * _MOAT).
+_LIMIT_EPS0 = 1e-2
+_LIMIT_LEVELS = 6
+
+
 @dataclass(frozen=True)
 class LimitSpec:
+    """The singular set ``limit_eval`` approaches.
+
+    ``kind`` is ``alpha-to-beta``, ``alpha-to-one``, ``alpha-to-minus-one``
+    or ``both-to-one``.  The perturbation ladder is not an option: it is
+    the module constants ``_LIMIT_EPS0`` and ``_LIMIT_LEVELS``.
+    """
+
     kind: str
-    eps0: float = 1e-2
-    levels: int = 6
 
     def __post_init__(self):
         if self.kind not in _LIMIT_KINDS:
             raise ConfigError(
                 f"kind must be one of {tuple(_LIMIT_KINDS)}, got {self.kind!r}")
-        if not (0.0 < self.eps0 <= 1e-2):
-            raise ConfigError(f"eps0 must lie in (0, 1e-2], got {self.eps0!r}")
-        if not isinstance(self.levels, int) or not (3 <= self.levels <= 8):
-            raise ConfigError(f"levels must be an integer in [3, 8], got {self.levels!r}")
-        if self.eps0 * 0.5 ** (self.levels - 1) <= 2.0 * _MOAT:
-            raise ConfigError(
-                "smallest perturbation would land inside the singularity moat; "
-                "increase eps0 or decrease levels")
 
 
 def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
     """closed_form at a removable singularity, by extrapolating in epsilon.
 
-    Evaluates on eps_j = eps0 * 2^-j and Richardson-extrapolates with an
+    Evaluates on the six levels eps_j = 1e-2 * 2^-j, j = 0..5
+    (``_LIMIT_EPS0``, ``_LIMIT_LEVELS``), and Richardson-extrapolates with an
     O(eps) leading-error model (the singular point is a 0/0 of functions
     even in each square root, so the value is analytic in eps along the
     perturbation path).  Raises when the extrapolants stop contracting
@@ -549,7 +554,7 @@ def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
     The levels share their root pairs (``_shared_root_pairs``): each kind
     holds one variable fixed, or, in ``both-to-one``, takes beta at one
     level bit for bit equal to alpha at the level before (1 - 2 eps_j =
-    1 - eps_(j-1)), so n levels compute n + 1 root pairs, not 2n.
+    1 - eps_(j-1)), so the six levels compute seven root pairs, not twelve.
     """
     on_singular_set, perturbed = _LIMIT_KINDS[limit.kind]
     try:
@@ -560,8 +565,8 @@ def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
         raise SingularParameterError(
             f"params do not sit on the {limit.kind} singular set")
     with _shared_root_pairs():
-        values = [closed_form(perturbed(params, limit.eps0 * 0.5 ** j))
-                  for j in range(limit.levels)]
+        values = [closed_form(perturbed(params, _LIMIT_EPS0 * 0.5 ** j))
+                  for j in range(_LIMIT_LEVELS)]
     prev, diag = [], []
     for j, value in enumerate(values):
         # Neville update of the Richardson tableau, ratio 2, order 1 model
@@ -577,7 +582,7 @@ def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
     # corrections plateau around 1e-9 of scale; below this floor a
     # failed contraction is rounding noise, not divergence.
     floor = 3e-8 * scale
-    diffs = [abs(diag[j] - diag[j - 1]) for j in range(1, limit.levels)]
+    diffs = [abs(diag[j] - diag[j - 1]) for j in range(1, _LIMIT_LEVELS)]
     for j in range(1, len(diffs)):
         if diffs[j] > floor and diffs[j] > 0.5 * diffs[j - 1]:
             raise NonConvergenceError(

@@ -227,6 +227,22 @@ def cexp(z: complex) -> complex:
         return complex(math.nan, math.nan)
 
 
+def _difference(lhs: complex, rhs: complex):
+    """(abs_err, rel_err): |lhs - rhs| and its ratio to max(|lhs|, |rhs|, 1e-300).
+
+    Where a finite value's modulus has no double (abs() raises), both are
+    read from the quartered values: quartering is exact, keeps the ratio
+    and brings every modulus back in range.
+    """
+    try:
+        abs_err = abs(lhs - rhs)
+        return abs_err, abs_err / max(abs(lhs), abs(rhs), 1e-300)
+    except OverflowError:
+        lhs, rhs = 0.25 * lhs, 0.25 * rhs
+        quarter_err = abs(lhs - rhs)
+        return 4.0 * quarter_err, quarter_err / max(abs(lhs), abs(rhs))
+
+
 # --- log gamma -------------------------------------------------------------
 
 # B_{2m} / (2m (2m-1)) for the Stirling tail.

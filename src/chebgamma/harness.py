@@ -42,7 +42,7 @@ from .closedform import (
     limit_eval,
     prop1_value,
 )
-from .complexfn import cexp, cpow, upper_gamma
+from .complexfn import _difference, cexp, cpow, upper_gamma
 from .errors import ConfigError
 from .series import SeriesParams, difference_series, series_sum
 
@@ -66,20 +66,10 @@ def compare(lhs: complex, rhs: complex, tol: float):
     """(abs_err, rel_err, passed) with an absolute fallback near zero."""
     if not tol > 0.0:
         raise ConfigError(f"tolerance must be positive, got {tol!r}")
-    try:
-        abs_err = abs(lhs - rhs)
-        rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-    except OverflowError:
-        # a finite value whose modulus has no double: quartering is exact,
-        # keeps the ratio and brings every modulus back in range
-        lhs, rhs = 0.25 * lhs, 0.25 * rhs
-        quarter_err = abs(lhs - rhs)
-        abs_err, rel_err = 4.0 * quarter_err, quarter_err / max(abs(lhs), abs(rhs))
-    if abs(rhs) < 1e-8:
-        passed = abs_err <= tol or rel_err <= tol
-    else:
-        passed = rel_err <= tol
-    return abs_err, rel_err, passed
+    abs_err, rel_err = _difference(lhs, rhs)
+    # rel_err > tol >= abs_err > 0 puts both moduli below 1, so abs(rhs) is
+    # read only where it has a double
+    return abs_err, rel_err, rel_err <= tol or (abs_err <= tol and abs(rhs) < 1e-8)
 
 
 @dataclass(frozen=True)

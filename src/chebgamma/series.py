@@ -324,14 +324,16 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
                 break
         # step to shell q + 1; one check per shell covers the sum, the
         # weights and the envelope, but an infinite envelope only stops
-        # the tolerance test of a terminating sum
+        # the tolerance test of a terminating sum, and past the last shell
+        # of non-zero weight, where the loop ends, only the sum is read
         kq = k - q
         recip = recip * kq
         zpow = zpow * inv_z
         env = env * ((q + 2) / (q + 1)) * rho * abs_inv_z * abs(kq)
         q += 1
-        if not (cmath.isfinite(acc) and cmath.isfinite(zpow)
-                and (math.isfinite(env) or bound is not None) and cmath.isfinite(recip)):
+        if not (cmath.isfinite(acc) and (q > top or (
+                cmath.isfinite(zpow) and cmath.isfinite(recip)
+                and (math.isfinite(env) or bound is not None)))):
             warnings.add(OVERFLOW_SATURATION)
             break
     if q > top:

@@ -58,6 +58,7 @@ from itertools import islice, product
 
 from ._flags import collect
 from .closedform import _shared_root_pairs, closed_form
+from .complexfn import _difference
 from .errors import ConfigError, KernelDomainError, NonConvergenceError, SingularParameterError
 from .series import SeriesParams, TruncationPolicy, series_sum
 
@@ -231,14 +232,7 @@ def _evaluate_point(a, k, alpha, beta, config):
     if skip is not None:
         notes.append(skip)
     elif series_value is not None and closed_value is not None:
-        try:
-            denom = max(abs(series_value), abs(closed_value), 1e-300)
-            rel_diff = abs(series_value - closed_value) / denom
-        except OverflowError:
-            # a finite value whose modulus has no double: quartering is
-            # exact, keeps the ratio and brings every modulus back in range
-            s, c = 0.25 * series_value, 0.25 * closed_value
-            rel_diff = abs(s - c) / max(abs(s), abs(c))
+        rel_diff = _difference(series_value, closed_value)[1]
     return (*series, series_err, *closed, rel_diff, "; ".join(notes)), skip is not None
 
 

@@ -563,15 +563,6 @@ def test_closed_form_on_a_wrong_continued_fraction_value_is_flagged_or_right():
 def test_limit_spec_validation():
     with pytest.raises(ConfigError):
         LimitSpec(kind="sideways")
-    with pytest.raises(ConfigError):
-        LimitSpec(kind="both-to-one", eps0=0.0)
-    with pytest.raises(ConfigError):
-        LimitSpec(kind="both-to-one", eps0=0.5)
-    with pytest.raises(ConfigError):
-        LimitSpec(kind="both-to-one", levels=2)
-    with pytest.raises(ConfigError):
-        # Smallest perturbation 1e-5 * 2^-7 < 2e-6 lands inside the moat.
-        LimitSpec(kind="both-to-one", eps0=1e-5, levels=8)
 
 
 def test_limit_requires_singular_point():

@@ -104,6 +104,21 @@ def test_gamma_fn_keeps_its_poles_on_the_real_axis(x):
         gamma_fn(x)
 
 
+@pytest.mark.parametrize("s, expected", [
+    (0j, 1.0 + 0.0j), (0.0, 1.0 + 0.0j), (0.5, 0j), (2.0 - 3.0j, 0j), (1e-300 + 5.0j, 0j),
+    (5.0j, None), (-0.5, None), (-1.0 + 2.0j, None),
+])
+def test_cpow_at_a_zero_base(s, expected):
+    # 0^0 = 1, 0^s = 0 for Re s > 0, and no value otherwise
+    for zero in (0j, 0.0, -0.0, complex(-0.0, -0.0)):
+        if expected is None:
+            with pytest.raises(KernelDomainError):
+                cpow(zero, s)
+        else:
+            got = cpow(zero, s)
+            assert type(got) is complex and got == expected
+
+
 # --------------------------------------------------------------- upper_gamma
 
 def test_upper_gamma_exponential_case():

@@ -34,6 +34,7 @@ from chebgamma import closedform
 from chebgamma import sweep as sweep_module
 from chebgamma._flags import collect
 from chebgamma.cli import main
+from chebgamma.complexfn import _difference
 from chebgamma.harness import DEFAULT_SEED, registered_cases, render_report_json, render_report_text
 from chebgamma.sweep import SWEEP_COLUMNS, parse_complex_literal
 
@@ -87,6 +88,27 @@ def test_compare_at_values_whose_modulus_has_no_double():
     assert compare(1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j, 1e-9) == (0.0, 0.0, True)
     abs_err, rel_err, ok = compare(1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 1e-9)
     assert (abs_err, rel_err, ok) == (math.inf, 2.0, False)
+
+
+@pytest.mark.parametrize("lhs, rhs, expected", [
+    (1.0, 1.0, (0.0, 0.0)),
+    (1.0, 1.0 + 1e-6j, (1e-6, 1e-6 / abs(1.0 + 1e-6j))),
+    (0.0, 1e-12, (1e-12, 1.0)),
+    (0.0, 0.0, (0.0, 0.0)),
+    # abs() of either value overflows: read from the quartered values
+    (1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j, (0.0, 0.0)),
+    (1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, (math.inf, 2.0)),
+])
+def test_difference_is_the_one_rule_compare_reads(lhs, rhs, expected):
+    assert _difference(lhs, rhs) == expected
+    assert compare(lhs, rhs, 1e-9)[:2] == expected
+
+
+def test_difference_of_nan_is_nan():
+    for lhs, rhs in ((math.nan, 1.0), (1.0, complex(0.0, math.nan))):
+        abs_err, rel_err = _difference(lhs, rhs)
+        assert math.isnan(abs_err) and math.isnan(rel_err)
+        assert not compare(lhs, rhs, 1e-9)[2]
 
 
 # ---------------------------------------------------------------- registry

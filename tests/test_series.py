@@ -303,13 +303,35 @@ def test_stop_paths_are_pinned(fn, point, mode, max_shell, expected):
     (difference_series, (0.7701201407593221, -1.1039435114636047 - 0.4165866162119851j,
                          152.0, 0.27444987193445824)),
 ])
-@pytest.mark.parametrize("mode", ["exact-if-terminating", "optimal"])
+@pytest.mark.parametrize("mode", ["exact-if-terminating", "optimal", "fixed"])
 def test_shell_modulus_overflow_saturates(fn, point, mode):
     # the exact sum meets a finite shell whose modulus outgrows a double
-    # (abs() raises for it): flagged saturation, never a bare OverflowError
-    res = fn(params(*point), TruncationPolicy(mode=mode))
-    assert res.termination == "terminated-exactly"
+    # (abs() raises for it): flagged saturation, never a bare OverflowError;
+    # under fixed the stop-rule loop meets it and ends there, short of the
+    # bound, with an error it cannot bound
+    with collect() as flags:
+        res = fn(params(*point), TruncationPolicy(mode=mode))
+    if mode == "fixed":
+        assert res.termination == "budget-exhausted" and res.error_estimate == math.inf
+    else:
+        assert res.termination == "terminated-exactly"
     assert "overflow-saturation" in res.warnings
+    assert "overflow-saturation" in flags
+
+
+@pytest.mark.parametrize("fn, point, shells", [
+    (series_sum, (0.3, -0.4, 10.0, 1e-30), 11),
+    (difference_series, (0.3, -0.55, 10.0, 1e-31), 5),
+])
+def test_fixed_exact_sum_is_not_flagged_for_the_power_past_it(fn, point, shells):
+    # z^(-q) overflows at the shell just past the sum, which no exact sum
+    # reads: fixed gives the bits of optimal, without a flag
+    with collect() as flags:
+        res = fn(params(*point), TruncationPolicy(mode="fixed"))
+    assert res == fn(params(*point))
+    assert res.termination == "terminated-exactly" and res.shells_used == shells
+    assert 1e280 < abs(res.value) < 1e306
+    assert not res.warnings and not flags
 
 
 @pytest.mark.parametrize("fn, point, shells", [
