@@ -11,6 +11,12 @@ divided by the mean of the two loop times and multiplied by
 benchmark's bounds were set on, as ``setup_s`` does.  The script prints,
 per command, the median and quartiles over ``--runs`` interpreters.
 
+The children inherit the environment, ``PYTHONDONTWRITEBYTECODE`` among
+it, and the header line says which way it was set.  With bytecode writing
+off, a module that has no cached ``.pyc`` is compiled from source in
+every run, and the times include that compilation; with it on, only the
+first run compiles.
+
 ``--parent DIR`` also times the checkout in DIR, alternating the two
 checkouts: even runs start with the parent, odd runs with this checkout.
 Both sides use this checkout's calibration loop.  A command that exits
@@ -89,8 +95,12 @@ def main(argv=None) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     sides = {"this": ROOT} if args.parent is None else {"parent": args.parent, "this": ROOT}
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        bytecode = "bytecode writing off: modules without a cached .pyc compile every run"
+    else:
+        bytecode = "bytecode writing on: runs after the first read cached .pyc"
     print(f"cold start, ms of thread CPU at the reference speed; median [q1, q3] "
-          f"over {args.runs} interpreters")
+          f"over {args.runs} interpreters; {bytecode}")
     print(f"{'command':<8}" + "".join(f"{name:>28}" for name in sides))
     with tempfile.TemporaryDirectory(prefix="cold-start-") as workdir:
         for command, cmd_argv in COMMANDS.items():

@@ -42,9 +42,9 @@ from __future__ import annotations
 import cmath
 import math
 import struct
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 from ._flags import BRANCH_SENSITIVE, checked, collect, flag
 from .complexfn import (
@@ -115,28 +115,27 @@ def _check_regular(params: SeriesParams, alpha_side: bool = True, beta_side: boo
         raise SingularParameterError("a*pi must be nonzero")
 
 
-@dataclass(frozen=True)
-class ContourTermSpec:
+class ContourTermSpec(namedtuple("ContourTermSpec", "index variable root_sign order_shift")):
     """One addend of the twelve-term decomposition.
 
     (variable, root_sign, order_shift) is a primary key: the twelve specs
     tile {alpha-side, beta-side} x {+, -} x {-1, 0, +1}.  The gamma order
     is k + 1 + order_shift, and the shift alone picks the prefactor: 1 at
-    +1, alpha + beta at 0, alpha beta at -1.
+    +1, alpha + beta at 0, alpha beta at -1.  ``variable`` is
+    ``alpha-side`` or ``beta-side``, and ``root_sign`` is the sign, ``+``
+    or ``-``, of i*sqrt(1 - x^2).
     """
 
-    index: int
-    variable: str          # "alpha-side" | "beta-side"
-    root_sign: str         # "+" | "-" sign of i*sqrt(1 - x^2)
-    order_shift: int       # in {-1, 0, +1}
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variable not in ("alpha-side", "beta-side"):
-            raise ConfigError(f"bad variable {self.variable!r}")
-        if self.root_sign not in ("+", "-"):
-            raise ConfigError(f"bad root_sign {self.root_sign!r}")
-        if self.order_shift not in (-1, 0, 1):
-            raise ConfigError(f"bad order_shift {self.order_shift!r}")
+    def __new__(cls, index, variable, root_sign, order_shift):
+        if variable not in ("alpha-side", "beta-side"):
+            raise ConfigError(f"bad variable {variable!r}")
+        if root_sign not in ("+", "-"):
+            raise ConfigError(f"bad root_sign {root_sign!r}")
+        if order_shift not in (-1, 0, 1):
+            raise ConfigError(f"bad order_shift {order_shift!r}")
+        return super().__new__(cls, index, variable, root_sign, order_shift)
 
 
 TWELVE_TERMS = (
@@ -524,8 +523,7 @@ _LIMIT_EPS0 = 1e-2
 _LIMIT_LEVELS = 6
 
 
-@dataclass(frozen=True)
-class LimitSpec:
+class LimitSpec(namedtuple("LimitSpec", "kind")):
     """The singular set ``limit_eval`` approaches.
 
     ``kind`` is ``alpha-to-beta``, ``alpha-to-one``, ``alpha-to-minus-one``
@@ -533,12 +531,13 @@ class LimitSpec:
     the module constants ``_LIMIT_EPS0`` and ``_LIMIT_LEVELS``.
     """
 
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _LIMIT_KINDS:
+    def __new__(cls, kind):
+        if not isinstance(kind, str) or kind not in _LIMIT_KINDS:
             raise ConfigError(
-                f"kind must be one of {tuple(_LIMIT_KINDS)}, got {self.kind!r}")
+                f"kind must be one of {tuple(_LIMIT_KINDS)}, got {kind!r}")
+        return super().__new__(cls, kind)
 
 
 def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:

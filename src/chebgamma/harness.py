@@ -25,8 +25,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import namedtuple
 
 from ._flags import collect
 from .closedform import (
@@ -72,22 +71,30 @@ def compare(lhs: complex, rhs: complex, tol: float):
     return abs_err, rel_err, rel_err <= tol or (abs_err <= tol and abs(rhs) < 1e-8)
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    case_id: str
-    lhs_value: complex
-    rhs_value: complex
-    abs_err: float
-    rel_err: float
-    tolerance: float
-    status: str                 # "pass" | "fail"
-    wall_time_ms: float
-    warnings: frozenset
-    point: tuple                # the parameters of the reported point
+CaseReport = namedtuple("CaseReport", (
+    "case_id",
+    "lhs_value",
+    "rhs_value",
+    "abs_err",
+    "rel_err",
+    "tolerance",
+    "status",                   # "pass" | "fail"
+    "wall_time_ms",
+    "warnings",
+    "point",                    # the parameters of the reported point
+))
 
 
-@dataclass(frozen=True)
-class VerificationCase:
+class VerificationCase(namedtuple("VerificationCase", (
+        "case_id",
+        "description",
+        "kind",                 # "primary" | "derived-anchor"
+        "tolerance",
+        "points",
+        "draw",
+        "lhs",
+        "rhs",
+))):
     """One case as data: where to evaluate it and the two routes to compare.
 
     ``run_case`` takes ``points`` (canonical parameter tuples), then calls
@@ -95,14 +102,8 @@ class VerificationCase:
     eleven points; a case whose ``draw`` is None runs its canonical points
     only.  ``lhs(*point)`` and ``rhs(*point)`` are the two routes.
     """
-    case_id: str
-    description: str
-    kind: str                   # "primary" | "derived-anchor"
-    tolerance: float
-    points: tuple
-    draw: Optional[Callable[[random.Random], tuple]]
-    lhs: Callable[..., complex]
-    rhs: Callable[..., complex]
+
+    __slots__ = ()
 
 
 _POINTS_PER_CASE = 11
@@ -338,7 +339,7 @@ def run_case(case_id: str, seed: int = DEFAULT_SEED) -> CaseReport:
     )
 
 
-def run_all(seed: int = DEFAULT_SEED, only: Optional[str] = None):
+def run_all(seed: int = DEFAULT_SEED, only: str | None = None):
     ids = (only,) if only is not None else case_ids()
     return [run_case(case_id, seed=seed) for case_id in ids]
 

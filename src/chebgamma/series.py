@@ -64,7 +64,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import cycle, islice
 from operator import mul
 
@@ -114,52 +114,45 @@ def _modulus(value: complex, name: str) -> float:
         raise KernelDomainError(f"|{name}| overflows a double at {name}={value}") from None
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class SeriesParams(namedtuple("SeriesParams", "a k alpha beta")):
     """Evaluation point; the expansion variable is a*pi, not a itself."""
 
-    a: complex
-    k: complex
-    alpha: complex
-    beta: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "k", "alpha", "beta"):
-            object.__setattr__(self, name, _scalar(getattr(self, name), name))
+    def __new__(cls, a, k, alpha, beta):
+        return super().__new__(cls, _scalar(a, "a"), _scalar(k, "k"),
+                               _scalar(alpha, "alpha"), _scalar(beta, "beta"))
 
     def a_pi(self) -> complex:
         return self.a * math.pi
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(namedtuple("TruncationPolicy", "mode max_shell rel_tol")):
     """Where series_sum stops: mode ``optimal`` or ``fixed`` (module docstring).
 
     The name ``exact-if-terminating`` is read as ``optimal``.
     """
 
-    mode: str = "optimal"
-    max_shell: int = 512
-    rel_tol: float = 1e-14
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode == _MODE_ALIAS:
-            object.__setattr__(self, "mode", "optimal")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not isinstance(self.max_shell, int) or self.max_shell < 4:
-            raise ConfigError(f"max_shell must be an integer >= 4, got {self.max_shell!r}")
-        if not (1e-16 < self.rel_tol < 1e-1):
-            raise ConfigError(f"rel_tol must lie in (1e-16, 1e-1), got {self.rel_tol!r}")
+    def __new__(cls, mode="optimal", max_shell=512, rel_tol=1e-14):
+        if mode == _MODE_ALIAS:
+            mode = "optimal"
+        if mode not in _MODES:
+            raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+        if not isinstance(max_shell, int) or max_shell < 4:
+            raise ConfigError(f"max_shell must be an integer >= 4, got {max_shell!r}")
+        try:
+            in_range = 1e-16 < rel_tol < 1e-1
+        except TypeError:  # a str or complex rel_tol does not compare
+            in_range = False
+        if not in_range:
+            raise ConfigError(f"rel_tol must lie in (1e-16, 1e-1), got {rel_tol!r}")
+        return super().__new__(cls, mode, max_shell, rel_tol)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: complex
-    error_estimate: float
-    shells_used: int
-    termination: str
-    warnings: frozenset
+SeriesResult = namedtuple(
+    "SeriesResult", "value error_estimate shells_used termination warnings")
 
 
 def series_terminates(k):

@@ -52,8 +52,8 @@ from __future__ import annotations
 import io
 import os
 import re
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import islice, product
 
 from ._flags import collect
@@ -111,38 +111,32 @@ _FORMATS = ("csv", "json")
 _MAX_POINTS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    a: tuple
-    k: tuple
-    alpha: tuple
-    beta: tuple
-    mode: str = "both"
-    policy: TruncationPolicy = field(default_factory=TruncationPolicy)
-    output_path: str = "sweep_out.csv"
-    format: str = "csv"
+class SweepConfig(namedtuple(
+        "SweepConfig", "a k alpha beta mode policy output_path format")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "k", "alpha", "beta"):
-            axis = getattr(self, name)
+    def __new__(cls, a, k, alpha, beta, mode="both", policy=TruncationPolicy(),
+                output_path="sweep_out.csv", format="csv"):
+        for name, axis in (("a", a), ("k", k), ("alpha", alpha), ("beta", beta)):
             if not isinstance(axis, tuple) or not axis:
                 raise ConfigError(f"grid axis {name!r} must be a nonempty tuple")
             if not all(isinstance(v, complex) for v in axis):
                 raise ConfigError(f"grid axis {name!r} must contain complex values")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.format not in _FORMATS:
-            raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
-        total = len(self.a) * len(self.k) * len(self.alpha) * len(self.beta)
+        if mode not in _MODES:
+            raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+        if not isinstance(policy, TruncationPolicy):
+            raise ConfigError(f"policy must be a TruncationPolicy, got {policy!r}")
+        if not isinstance(output_path, (str, bytes, os.PathLike)):
+            raise ConfigError(f"output_path must be a path, got {output_path!r}")
+        if format not in _FORMATS:
+            raise ConfigError(f"format must be one of {_FORMATS}, got {format!r}")
+        total = len(a) * len(k) * len(alpha) * len(beta)
         if total > _MAX_POINTS:
             raise ConfigError(f"grid has {total} points, limit is {_MAX_POINTS}")
+        return super().__new__(cls, a, k, alpha, beta, mode, policy, output_path, format)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
-    points_evaluated: int
-    failures: int
-    output_path: str
+SweepSummary = namedtuple("SweepSummary", "points_evaluated failures output_path")
 
 
 _AXIS_KEYS = ("a", "k", "alpha", "beta")

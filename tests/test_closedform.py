@@ -565,6 +565,12 @@ def test_limit_spec_validation():
         LimitSpec(kind="sideways")
 
 
+def test_limit_spec_refuses_an_unhashable_kind():
+    with pytest.raises(ConfigError) as err:
+        LimitSpec(["x"])
+    assert str(err.value).endswith("got ['x']")
+
+
 def test_limit_requires_singular_point():
     with pytest.raises(SingularParameterError):
         limit_eval(params(0.3, -0.2, 2.0, 10.0), LimitSpec(kind="alpha-to-beta"))

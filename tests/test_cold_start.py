@@ -20,29 +20,44 @@ import pytest
 import chebgamma
 
 SRC = Path(chebgamma.__file__).resolve().parents[1]
-DEFERRED = ("chebgamma.harness", "hashlib", "json", "csv")
+DEFERRED = ("chebgamma.harness", "hashlib", "json", "csv", "dataclasses", "inspect")
 HARNESS_NAMES = ("CaseReport", "VerificationCase", "case_ids", "compare", "run_all", "run_case")
 
 # The modules present before the first import are the interpreter's own
-# start-up set (site may preload some through .pth files); the probe
-# prints the ones the import and the parse added to it.
+# start-up set (site may preload some through .pth files); a probe prints
+# the ones its code added to it.
 PROBE = """\
 import sys
 before = set(sys.modules)
-import chebgamma, chebgamma.cli
-from chebgamma.sweep import parse_sweep_config
-parse_sweep_config("a = 1\\nk = 2, 2.5\\nalpha = 0.5\\nbeta = -0.5, 0.25i\\nformat = json\\n")
+{}
 print(" ".join(sorted(set(sys.modules) - before)))
 """
+# what every command does before it runs
+COMMAND_START = """\
+import chebgamma, chebgamma.cli
+from chebgamma.sweep import parse_sweep_config
+parse_sweep_config("a = 1\\nk = 2, 2.5\\nalpha = 0.5\\nbeta = -0.5, 0.25i\\nformat = json\\n")"""
+
+
+def _loaded_by(code: str) -> set:
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", PROBE.format(code)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(done.stdout.split())
 
 
 def test_import_and_config_parse_load_no_driver_module():
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", PROBE], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60, check=True)
-    loaded = set(done.stdout.split())
+    loaded = _loaded_by(COMMAND_START)
     assert "chebgamma.cli" in loaded and "chebgamma.sweep" in loaded
     assert loaded.isdisjoint(DEFERRED), sorted(loaded.intersection(DEFERRED))
+
+
+def test_importing_the_harness_loads_neither_dataclasses_nor_inspect():
+    # the import behind the verify and list commands
+    loaded = _loaded_by("import chebgamma.harness")
+    assert "chebgamma.harness" in loaded
+    assert loaded.isdisjoint(("dataclasses", "inspect")), sorted(loaded)
 
 
 def test_harness_names_resolve_on_first_use():

@@ -308,6 +308,8 @@ def test_parse_sweep_config_refuses_a_bad_line(line, message):
     ({"beta": (0.5,)}, "grid axis 'beta' must contain complex values"),
     ({"mode": "neither"}, "mode must be one of ('series', 'closed', 'both'), got 'neither'"),
     ({"format": "xml"}, "format must be one of ('csv', 'json'), got 'xml'"),
+    ({"policy": "optimal"}, "policy must be a TruncationPolicy, got 'optimal'"),
+    ({"output_path": None}, "output_path must be a path, got None"),
 ])
 def test_sweep_config_refuses_a_bad_field(change, message):
     fields = {"a": (1 + 0j,), "k": (1 + 0j,), "alpha": (0j,), "beta": (0.5 + 0j,), **change}

@@ -65,6 +65,13 @@ def test_policy_validation():
         TruncationPolicy(rel_tol=0.5)
 
 
+@pytest.mark.parametrize("rel_tol", ["1e-8", 1e-8j])
+def test_policy_refuses_a_rel_tol_that_is_not_real(rel_tol):
+    with pytest.raises(ConfigError) as err:
+        TruncationPolicy(rel_tol=rel_tol)
+    assert str(err.value) == f"rel_tol must lie in (1e-16, 1e-1), got {rel_tol!r}"
+
+
 def test_exact_if_terminating_is_read_as_optimal():
     assert TruncationPolicy().mode == "optimal"
     assert TruncationPolicy(mode="exact-if-terminating") == TruncationPolicy(mode="optimal")
