@@ -12,10 +12,14 @@ benchmark's bounds were set on, as ``setup_s`` does.  The script prints,
 per command, the median and quartiles over ``--runs`` interpreters.
 
 The children inherit the environment, ``PYTHONDONTWRITEBYTECODE`` among
-it, and the header line says which way it was set.  With bytecode writing
-off, a module that has no cached ``.pyc`` is compiled from source in
-every run, and the times include that compilation; with it on, only the
-first run compiles.
+it, and the header line says which way it was set.  Each checkout's
+children get their own fresh ``PYTHONPYCACHEPREFIX`` inside the
+temporary directory, so no ``__pycache__`` is read, neither a checkout's
+(one left by an earlier run would time the two checkouts from different
+caches) nor the standard library's.  With bytecode writing off, every
+module the command imports is compiled from source in every run, and the
+times include that compilation; with it on, only each checkout's first
+run compiles.
 
 ``--parent DIR`` also times the checkout in DIR, alternating the two
 checkouts: even runs start with the parent, odd runs with this checkout.
@@ -68,11 +72,12 @@ print(f"\\n{elapsed!r} {0.5 * (before + calibrate())!r} {rc} {chebgamma.cli.__fi
 """
 
 
-def run_once(checkout: Path, argv: list, workdir: str) -> float:
+def run_once(checkout: Path, argv: list, workdir: str, pycache: Path) -> float:
     """ms at the reference speed of one cold command in checkout."""
     done = subprocess.run(
         [sys.executable, "-c", CHILD_CODE, str(PERFBENCH), *argv], cwd=workdir,
-        env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+        env=dict(os.environ, PYTHONPATH=str(checkout / "src"),
+                 PYTHONPYCACHEPREFIX=str(pycache)),
         capture_output=True, text=True, timeout=300)
     *_, last = done.stdout.splitlines() or [""]
     fields = last.split()
@@ -96,11 +101,12 @@ def main(argv=None) -> int:
         parser.error("--runs must be at least 1")
     sides = {"this": ROOT} if args.parent is None else {"parent": args.parent, "this": ROOT}
     if os.environ.get("PYTHONDONTWRITEBYTECODE"):
-        bytecode = "bytecode writing off: modules without a cached .pyc compile every run"
+        bytecode = "bytecode writing off: each run compiles what it imports"
     else:
         bytecode = "bytecode writing on: runs after the first read cached .pyc"
     print(f"cold start, ms of thread CPU at the reference speed; median [q1, q3] "
-          f"over {args.runs} interpreters; {bytecode}")
+          f"over {args.runs} interpreters; a fresh bytecode cache per checkout, "
+          f"{bytecode}")
     print(f"{'command':<8}" + "".join(f"{name:>28}" for name in sides))
     with tempfile.TemporaryDirectory(prefix="cold-start-") as workdir:
         for command, cmd_argv in COMMANDS.items():
@@ -108,7 +114,8 @@ def main(argv=None) -> int:
             for i in range(args.runs):
                 order = list(sides) if i % 2 == 0 else list(reversed(sides))
                 for name in order:
-                    times[name].append(run_once(sides[name], cmd_argv, workdir))
+                    times[name].append(run_once(sides[name], cmd_argv, workdir,
+                                                Path(workdir, "pycache", name)))
             cells = []
             for name in sides:
                 q1, med, q3 = quartiles(times[name])

@@ -8,53 +8,24 @@ the degenerate limits, the angle-coordinate variant, and several fixed
 evaluation points round out the verification surface; the ``chebgamma``
 console script drives batch checks and parameter sweeps.
 
+The package exports every name that ``chebyshev``, ``closedform``,
+``complexfn``, ``errors``, ``series`` and ``sweep`` list in their
+``__all__``; that list is the only place a public name is written.
 The verification harness (``chebgamma.harness``, with ``json`` and
-``hashlib`` behind it) loads on first use: its six re-exported names and
-the submodule itself resolve through the module ``__getattr__``, so that
-importing the package, evaluating a point or running a sweep does not
-pay for it.
+``hashlib`` behind it) loads on first use: its six re-exported names
+(``_HARNESS_NAMES``, listed here so that naming them imports nothing)
+and the submodule itself resolve through the module ``__getattr__``, so
+that importing the package, evaluating a point or running a sweep does
+not pay for it.
 """
 
-from .chebyshev import cheb_t, growth_radius, shell_coeff, shell_values
-from .closedform import (
-    TWELVE_TERMS,
-    ContourTermSpec,
-    LimitSpec,
-    closed_form,
-    closed_form_cos,
-    contour_term,
-    diff_closed_form,
-    erfc_product_value,
-    golden_ratio_value,
-    limit_eval,
-    prop1_value,
-)
-from .complexfn import (
-    analytic_continuation_gamma,
-    erfc_complex,
-    exp_integral_e,
-    gamma_fn,
-    log_gamma,
-    lower_gamma,
-    pochhammer_recip,
-    upper_gamma,
-)
-from .errors import (
-    ConfigError,
-    KernelDomainError,
-    NonConvergenceError,
-    PoleError,
-    SingularParameterError,
-)
-from .series import (
-    SeriesParams,
-    SeriesResult,
-    TruncationPolicy,
-    difference_series,
-    series_sum,
-    series_terminates,
-)
-from .sweep import SweepConfig, SweepSummary, parse_sweep_config, run_sweep
+from . import chebyshev, closedform, complexfn, errors, series, sweep
+from .chebyshev import *
+from .closedform import *
+from .complexfn import *
+from .errors import *
+from .series import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
@@ -62,53 +33,10 @@ __version__ = "0.1.0"
 _HARNESS_NAMES = frozenset(
     ("CaseReport", "VerificationCase", "case_ids", "compare", "run_all", "run_case"))
 
-__all__ = [
-    "CaseReport",
-    "ConfigError",
-    "ContourTermSpec",
-    "KernelDomainError",
-    "LimitSpec",
-    "NonConvergenceError",
-    "PoleError",
-    "SeriesParams",
-    "SeriesResult",
-    "SingularParameterError",
-    "SweepConfig",
-    "SweepSummary",
-    "TWELVE_TERMS",
-    "TruncationPolicy",
-    "VerificationCase",
-    "analytic_continuation_gamma",
-    "case_ids",
-    "cheb_t",
-    "closed_form",
-    "closed_form_cos",
-    "compare",
-    "contour_term",
-    "diff_closed_form",
-    "difference_series",
-    "erfc_complex",
-    "erfc_product_value",
-    "exp_integral_e",
-    "gamma_fn",
-    "golden_ratio_value",
-    "growth_radius",
-    "limit_eval",
-    "log_gamma",
-    "lower_gamma",
-    "parse_sweep_config",
-    "pochhammer_recip",
-    "prop1_value",
-    "run_all",
-    "run_case",
-    "run_sweep",
-    "series_sum",
-    "series_terminates",
-    "shell_coeff",
-    "shell_values",
-    "upper_gamma",
-    "__version__",
-]
+__all__ = sorted({
+    *chebyshev.__all__, *closedform.__all__, *complexfn.__all__,
+    *errors.__all__, *series.__all__, *sweep.__all__,
+    *_HARNESS_NAMES, "__version__"})
 
 
 def __getattr__(name):

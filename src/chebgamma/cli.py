@@ -21,7 +21,6 @@ import sys
 from ._flags import collect
 from .closedform import TWELVE_TERMS, closed_form, closed_form_cos, contour_term
 from .errors import ConfigError, KernelDomainError, NonConvergenceError, SingularParameterError
-from .series import _MODE_ALIAS, _MODES as _SERIES_MODES
 from .series import SeriesParams, TruncationPolicy, series_sum
 from .sweep import parse_complex_literal, parse_sweep_config, run_sweep
 
@@ -33,9 +32,6 @@ def _complex_arg(token: str) -> complex:
         return parse_complex_literal(token)
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-_DEFAULT_POLICY = TruncationPolicy()
 
 
 def _fmt(value: complex) -> str:
@@ -65,16 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="closed: assembled bracket; terms: sum of the "
                              "twelve addends; cos: angle-coordinate form")
 
-    p_series = sub.add_parser("series", help="series value at one point")
+    # A policy option left out is not passed: TruncationPolicy applies its
+    # own defaults and checks the values given.
+    p_series = sub.add_parser("series", help="series value at one point",
+                              argument_default=argparse.SUPPRESS)
     point_args(p_series)
-    p_series.add_argument("--mode", choices=_SERIES_MODES + (_MODE_ALIAS,),
-                          metavar="{" + ",".join(_SERIES_MODES) + "}",
-                          default=_DEFAULT_POLICY.mode,
-                          help="optimal: integer k summed exactly, any other k to the "
-                               "smallest term; fixed: tolerance stop for every k "
-                               "(default: %(default)s)")
-    p_series.add_argument("--max-shell", type=int, default=_DEFAULT_POLICY.max_shell)
-    p_series.add_argument("--rel-tol", type=float, default=_DEFAULT_POLICY.rel_tol)
+    p_series.add_argument("--mode",
+                          help="optimal (default): integer k summed exactly, any other "
+                               "k to the smallest term; fixed: tolerance stop for every k")
+    p_series.add_argument("--max-shell", type=int)
+    p_series.add_argument("--rel-tol", type=float)
 
     p_verify = sub.add_parser("verify", help="run registered verification cases")
     p_verify.add_argument("--case", default=None, help="run a single case id")
@@ -112,8 +108,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    policy = TruncationPolicy(mode=args.mode, max_shell=args.max_shell,
-                              rel_tol=args.rel_tol)
+    policy = TruncationPolicy(**{name: value for name, value in vars(args).items()
+                                 if name in TruncationPolicy._fields})
     result = series_sum(SeriesParams(a=args.a, k=args.k,
                                      alpha=args.alpha, beta=args.beta), policy)
     print(f"value = {_fmt(result.value)}")

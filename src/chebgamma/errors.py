@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "KernelDomainError", "NonConvergenceError", "PoleError",
+           "SingularParameterError"]
+
 
 class KernelDomainError(ValueError):
     """Input outside the domain a kernel accepts (non-finite, z = 0, ...)."""

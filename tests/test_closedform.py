@@ -426,8 +426,10 @@ def test_erfc_product_value_three_ways():
     assert rel(printed, via_cos) <= 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="the closed-form bracket cancels at large k and "
-                   "small a*pi and returns a wrong finite value with no flag")
+@pytest.mark.xfail(strict=True, reason="closed_form is off by 420x against the exact sum, "
+                   "from upper_gamma's continued fraction in the left half of the pocket "
+                   "disc (module docstring of complexfn); the reference series_sum, "
+                   "reported exact, is itself off by 7.4e-7")
 def test_closed_form_at_large_k_small_a_pi():
     p = params(-0.614, -0.595, 39, 12.3)
     got = closed_form(p)
@@ -639,6 +641,18 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
+def count_pairs(monkeypatch):
+    computed = []
+    root_pair = cf._root_pair
+
+    def counting(z, k, x):
+        computed.append(x)
+        return root_pair(z, k, x)
+
+    monkeypatch.setattr(cf, "_root_pair", counting)
+    return computed
+
+
 def same_bits(x, y):
     return all(u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
                or math.isnan(u) and math.isnan(v)
@@ -654,23 +668,23 @@ def same_bits(x, y):
 def test_limit_levels_share_their_root_pairs(monkeypatch, point, kind):
     # Six levels, one variable fixed (or, for both-to-one, beta at one
     # level equal to alpha at the level before): seven pairs, not twelve.
-    calls = count_kernel_calls(monkeypatch)
+    computed = count_pairs(monkeypatch)
     spec = LimitSpec(kind=kind)
     shared = limit_eval(params(*point), spec)
-    assert len(calls) == 7 * 6
-    calls.clear()
+    assert len(computed) == len(set(computed)) == 7
+    computed.clear()
     monkeypatch.setattr(cf, "_shared_root_pairs", contextlib.nullcontext)
     alone = limit_eval(params(*point), spec)
-    assert len(calls) == 12 * 6
+    assert len(computed) == 12 and len(set(computed)) == 7
     assert same_bits(shared, alone)
 
 
 def test_closed_form_outside_a_scope_computes_both_pairs(monkeypatch):
-    calls = count_kernel_calls(monkeypatch)
+    computed = count_pairs(monkeypatch)
     p = params(0.3, -0.55, 2.5, 20.0)
     closed_form(p)
     closed_form(p)
-    assert len(calls) == 2 * 12
+    assert computed == [0.3, -0.55] * 2
 
 
 def test_a_scope_keeps_points_of_other_a_and_k_apart(monkeypatch):
@@ -679,23 +693,11 @@ def test_a_scope_keeps_points_of_other_a_and_k_apart(monkeypatch):
     points = [params(0.3, -0.55, 2.5, 20.0), params(0.3, -0.55, 2.5, 21.0),
               params(0.3, -0.55, 3.5, 20.0)]
     alone = [closed_form(p) for p in points]
-    calls = count_kernel_calls(monkeypatch)
+    computed = count_pairs(monkeypatch)
     with cf._shared_root_pairs():
         shared = [closed_form(p) for p in points]
-    assert len(calls) == 3 * 12
+    assert computed == [0.3, -0.55] * 3
     assert all(same_bits(x, y) for x, y in zip(shared, alone))
-
-
-def count_pairs(monkeypatch):
-    computed = []
-    root_pair = cf._root_pair
-
-    def counting(z, k, x):
-        computed.append(x)
-        return root_pair(z, k, x)
-
-    monkeypatch.setattr(cf, "_root_pair", counting)
-    return computed
 
 
 def outcome(p):
@@ -745,23 +747,23 @@ def test_a_shared_pair_replays_a_continued_fraction_that_failed(monkeypatch):
 
 
 def test_a_scope_ends_with_its_block_and_restores_the_outer_one(monkeypatch):
-    calls = count_kernel_calls(monkeypatch)
+    computed = count_pairs(monkeypatch)
     p = params(0.3, -0.55, 2.5, 20.0)
     with cf._shared_root_pairs():
         closed_form(p)
-        assert len(calls) == 12
+        assert len(computed) == 2
         with cf._shared_root_pairs():
             closed_form(p)              # an inner scope starts empty
-            assert len(calls) == 24
+            assert len(computed) == 4
         closed_form(p)                  # the outer scope's pairs are back
-        assert len(calls) == 24
+        assert len(computed) == 4
     closed_form(p)
-    assert len(calls) == 36
+    assert len(computed) == 6
     with pytest.raises(SingularParameterError):
         with cf._shared_root_pairs():
             closed_form(params(0.3, 0.3, 2.5, 20.0))
     closed_form(p)
-    assert len(calls) == 48
+    assert computed == [0.3, -0.55] * 4
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -73,6 +73,13 @@ def test_harness_names_resolve_on_first_use():
         chebgamma.no_such_name
 
 
+def test_the_package_exports_exactly_what_its_submodules_list():
+    modules = ("chebyshev", "closedform", "complexfn", "errors", "series", "sweep")
+    listed = {name for module in modules
+              for name in importlib.import_module(f"chebgamma.{module}").__all__}
+    assert chebgamma.__all__ == sorted({*listed, *HARNESS_NAMES, "__version__"})
+
+
 def test_every_submodule_export_resolves():
     for info in pkgutil.iter_modules(chebgamma.__path__):
         module = importlib.import_module(f"chebgamma.{info.name}")

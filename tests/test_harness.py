@@ -7,6 +7,7 @@ import math
 import os
 import random
 import stat
+import subprocess
 import threading
 from pathlib import Path
 
@@ -516,17 +517,23 @@ def test_skipped_row_keeps_the_flags_of_the_route_that_ran(tmp_path):
     assert regular["warnings"] == "overflow-saturation"
 
 
-def _count_kernel_calls(monkeypatch, config):
-    calls = []
-    kernel = closedform.upper_gamma
+def _count_root_pairs(monkeypatch):
+    """The variable x of every root pair closedform computes from now on."""
+    computed = []
+    root_pair = closedform._root_pair
 
-    def counting(s, w):
-        calls.append((s, w))
-        return kernel(s, w)
+    def counting(z, k, x):
+        computed.append(x)
+        return root_pair(z, k, x)
 
-    monkeypatch.setattr(closedform, "upper_gamma", counting)
+    monkeypatch.setattr(closedform, "_root_pair", counting)
+    return computed
+
+
+def _sweep_root_pairs(monkeypatch, config):
+    computed = _count_root_pairs(monkeypatch)
     run_sweep(config)
-    return len(calls)
+    return computed
 
 
 def _closed_sweep(tmp_path, a, k, alpha, beta):
@@ -539,23 +546,24 @@ def _closed_sweep(tmp_path, a, k, alpha, beta):
 def test_sweep_kernel_work_grows_with_the_axes_not_their_product(tmp_path, monkeypatch):
     alpha, beta = (0.3, -0.6, 0.75), (0.5, -0.2, 0.1, -0.9)
     one_block = _closed_sweep(tmp_path, (20.0 / math.pi,), (2.5,), alpha, beta)
-    # Six incomplete gammas per variable value: (3 + 4) * 6, not 3 * 4 * 12.
-    assert _count_kernel_calls(monkeypatch, one_block) == 42
+    # One root pair per variable value: 3 + 4, not 3 * 4 * 2.
+    computed = _sweep_root_pairs(monkeypatch, one_block)
+    assert len(computed) == 7 and set(computed) == {*alpha, *beta}
     # Pairs live for one (a, k) block: a second block pays again.
     two_blocks = _closed_sweep(tmp_path, (20.0 / math.pi,), (2.5, 3.5), alpha, beta)
-    assert _count_kernel_calls(monkeypatch, two_blocks) == 84
+    assert len(_sweep_root_pairs(monkeypatch, two_blocks)) == 14
 
 
-@pytest.mark.parametrize("alpha, beta, calls", [
-    ((1.0, 0.3), (0.5, -0.2), 18),   # alpha = 1 is singular at every point
+@pytest.mark.parametrize("alpha, beta, pairs", [
+    ((1.0, 0.3), (0.5, -0.2), 3),    # alpha = 1 is singular at every point
     ((0.5,), (0.5,), 0),             # alpha = beta: nothing is evaluated
-    ((0.5, 0.3), (0.5, -0.2), 18),   # 0.5 on both axes is one pair
-    ((0.0, -0.0), (0.5,), 18),       # 0.0 and -0.0 are two pairs
+    ((0.5, 0.3), (0.5, -0.2), 3),    # 0.5 on both axes is one pair
+    ((0.0, -0.0), (0.5,), 3),        # 0.0 and -0.0 are two pairs
 ])
 def test_sweep_computes_a_root_pair_only_for_regular_points(
-        tmp_path, monkeypatch, alpha, beta, calls):
+        tmp_path, monkeypatch, alpha, beta, pairs):
     config = _closed_sweep(tmp_path, (20.0 / math.pi,), (2.5,), alpha, beta)
-    assert _count_kernel_calls(monkeypatch, config) == calls
+    assert len(_sweep_root_pairs(monkeypatch, config)) == pairs
 
 
 def test_sweep_evaluates_every_point_through_closed_form(tmp_path, monkeypatch):
@@ -566,17 +574,15 @@ def test_sweep_evaluates_every_point_through_closed_form(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep_module, "closed_form", lambda p: points.append(p) or original(p))
     config = _closed_sweep(tmp_path, (20.0 / math.pi,), (2.5, 3.5), (0.3, 1.0, -0.6), (0.5, -0.2))
     # alpha = 1 is singular at every point: four pairs per block
-    assert _count_kernel_calls(monkeypatch, config) == 2 * 4 * 6
+    assert len(_sweep_root_pairs(monkeypatch, config)) == 2 * 4
     assert len(points) == 2 * 3 * 2
     assert closedform._pair_scope.get() is None
 
 
 def test_verify_limit_case_computes_seven_root_pairs_per_point(monkeypatch):
-    calls = []
-    kernel = closedform.upper_gamma
-    monkeypatch.setattr(closedform, "upper_gamma", lambda s, w: calls.append(s) or kernel(s, w))
+    computed = _count_root_pairs(monkeypatch)
     assert run_case("prop1-limit").status == "pass"
-    assert len(calls) == 11 * 7 * 6
+    assert len(computed) == 11 * 7
 
 
 def _same_float(x, y):
@@ -815,8 +821,18 @@ def test_cli_series_reads_exact_if_terminating_as_optimal(capsys):
     alias = capsys.readouterr().out
     assert main(point + ["--mode", "optimal"]) == 0
     assert capsys.readouterr().out == alias
+    # options left out take TruncationPolicy's own defaults
     assert main(point) == 0
     assert capsys.readouterr().out == alias
+    assert main(point + ["--mode", "optimal", "--max-shell", "512", "--rel-tol", "1e-14"]) == 0
+    assert capsys.readouterr().out == alias
+
+
+def test_cli_series_bad_mode_is_refused_by_the_policy(capsys):
+    point = ["series", "--a", "10", "--k", "-0.5", "--alpha", "0.3", "--beta", "-0.45"]
+    assert main(point + ["--mode", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "error: mode must be one of ('optimal', 'fixed'), got 'bogus'\n")
 
 
 def test_sweep_fingerprint_reports_how_rows_moved():
@@ -1022,6 +1038,27 @@ def test_cold_start_times_every_command(capsys):
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [row.split()[0] for row in rows] == list(cold.COMMANDS)
     assert all(float(row.split()[1]) > 0 for row in rows)
+
+
+def test_cold_start_gives_each_checkout_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
+    # A __pycache__ left in one checkout would time the two checkouts from
+    # different caches, so the children read theirs from a prefix in the
+    # script's temporary directory, one per checkout.
+    cold = _script("cold_start")
+    prefixes = {}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_relative_to(cwd) and not prefix.exists()
+        prefixes.setdefault(env["PYTHONPATH"], set()).add(prefix)
+        cli = Path(env["PYTHONPATH"], "chebgamma", "cli.py")
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"\n0.01 0.01 0 {cli}\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert cold.main(["--runs", "2", "--parent", str(tmp_path)]) == 0
+    assert set(prefixes) == {str(tmp_path / "src"), str(cold.ROOT / "src")}
+    assert [len(side) for side in prefixes.values()] == [1, 1]
+    assert len(set.union(*prefixes.values())) == 2
 
 
 def test_cli_missing_config_exits_2(capsys, tmp_path):
