@@ -49,11 +49,17 @@ is 1.5 once Re s < 0, where Gamma(s) - gamma(s, z) cancels as soon as
   convergents)
 
 ``upper_gamma`` takes Gamma(s) - gamma(s, z) from the series where the
-map names one.  At a non-positive integer s = -m, where Gamma(s) has a
-pole, it takes the s -> -m limit of Kummer's series instead (DLMF
-8.4.15), summed by the same loop with the n = m term left out.  It sends
-the left half of the disc to the continued fraction, as it does
-everything else.  The two kernels part on that outcome and on the
+map names one.  Where Gamma(s) itself saturates to a flagged inf (past
+171.62 on the real axis, once Re log Gamma(s) passes 709 off it), it
+returns that value before summing, since no gamma(s, z) brings the
+difference back into range.  Where the true value is still a double
+this is an open defect: Gamma(172, 189) is about 1.24e308, yet comes
+back as a flagged inf; only a kernel that scales Gamma(s) out of the
+difference would give it.  At a non-positive integer s = -m, where
+Gamma(s) has a pole, it takes the s -> -m limit of Kummer's series
+instead (DLMF 8.4.15), summed by the same loop with the n = m term left
+out.  It sends the left half of the disc to the continued fraction, as
+it does everything else.  The two kernels part on that outcome and on the
 terminating sum, which ``lower_gamma`` would have to subtract from
 Gamma(s); ``lower_gamma`` takes the regime below it instead.  Left
 of the imaginary axis the fraction is an open defect: below ``|z|/|s|``
@@ -547,7 +553,13 @@ def upper_gamma(s, z) -> complex:
     (``_TERMINATING_CAP``) with |z| >= m - 1 it sums the terminating
     Gamma(m, z) = (m-1)! e^-z sum_{j<m} z^j / j! (DLMF 8.4.8), unless
     the sum cancels by more than a factor 16 (``_TERMINATING_KAPPA``);
-    then, and at every other order, the map's other regimes serve.
+    then, and at every other order, the map's other regimes serve.  In
+    the series regimes a Gamma(s) that saturates is returned as it is,
+    a flagged inf, without summing gamma(s, z): also where Gamma(s, z)
+    is a double, such as Gamma(172, 189), about 1.24e308 (an open
+    defect).
+    A sum that fails to converge behind a finite Gamma(s) raises
+    ``NonConvergenceError``.
     """
     s = _narrow_arg(s, "s")
     z = _narrow_arg(z, "z")
@@ -566,15 +578,10 @@ def upper_gamma(s, z) -> complex:
         if m is not None:
             return _upper_series_nonpos_int(m, z)
         g = gamma_fn(s)
+        if not cmath.isfinite(g):
+            return g  # saturated and flagged: no gamma(s, z) brings it back
         lower = _lower_series_direct if regime == _SERIES else _lower_series_reflected
-        try:
-            return g - lower(s, z)
-        except NonConvergenceError:
-            if cmath.isfinite(g):
-                raise
-            # Gamma(s) saturated, and flagged: no gamma(s, z) brings the
-            # difference back, so the series need not converge
-            return g
+        return g - lower(s, z)
     return _upper_cf(s, z)
 
 

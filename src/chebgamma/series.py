@@ -9,10 +9,15 @@ C_q * (a pi)^(-q) / (k)_{1-q} with C_q the Chebyshev convolution
 coefficient.  For k at a non-negative integer the shell weights vanish
 identically beyond q = k and the series is a finite sum.  For any other
 k the weights eventually grow factorially, so the sum is an asymptotic
-expansion in 1/(a pi): the engine then uses optimal truncation (stop at
-the smallest shell of a smooth envelope bound and report that scale as
-the error), which is the reading under which large-|a pi| evaluations
-agree with the closed form to near machine precision.
+expansion in 1/(a pi): the engine then truncates where a smooth envelope
+bound first turns upward (it stops before the first shell whose bound
+exceeds the previous shell's, and reports that shell's scale as the
+error), which is the reading under which large-|a pi| evaluations agree
+with the closed form to near machine precision.  The first upturn is
+not always the envelope's smallest shell: at non-integer k near or
+past |a pi| the envelope can rise from shell 1 and fall again as q nears
+Re k, and the sum then stops after one shell, with the
+``not-in-asymptotic-regime`` flag, short of that later trough.
 
 Both loops below read C_q from the shell stream of the ``chebyshev``
 module (C_0 = 1 and C_1 = alpha + beta, then one two-term recurrence

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from chebgamma import (
     KernelDomainError,
+    NonConvergenceError,
     PoleError,
     analytic_continuation_gamma,
     complexfn,
@@ -481,11 +482,44 @@ def test_nonpos_int_order_saturates_past_double_range():
 
 def test_reflected_series_saturates_when_its_sum_outgrows_a_double():
     # The reflected sum stays finite while its modulus passes the double
-    # range (Gamma(377, .) is far past it): flag, never a bare OverflowError.
+    # range (gamma(377, .) is far past it): flag, never a bare OverflowError.
+    # lower_gamma runs the sum here; upper_gamma returns the saturated
+    # Gamma(377) before any sum.
     with collect() as flags:
-        v = upper_gamma(377.0635858689633, -711.5185012385867 - 2.21760898831898j)
+        v = lower_gamma(377.0635858689633, -711.5185012385867 - 2.21760898831898j)
     assert not cmath.isfinite(v)
     assert "overflow-saturation" in flags
+
+
+def _sum_must_not_run(*args):
+    raise AssertionError(f"a lower-gamma sum ran at {args}")
+
+
+@pytest.mark.parametrize("s, z", [
+    (180.0, complex(120.0, 60.0)),         # series
+    (200.0, complex(-150.0, 0.5)),         # Kummer
+    (complex(185.0, 20.0), complex(100.0, 30.0)),  # complex order, series
+])
+def test_upper_gamma_returns_a_saturated_gamma_without_summing(s, z, monkeypatch):
+    # Past Gamma's overflow no gamma(s, z) brings Gamma(s) - gamma(s, z)
+    # back into range, so the series regimes return the flagged Gamma(s).
+    monkeypatch.setattr(complexfn, "_lower_series_direct", _sum_must_not_run)
+    monkeypatch.setattr(complexfn, "_kummer_sum", _sum_must_not_run)
+    with collect() as flags:
+        v = upper_gamma(s, z)
+    assert repr(v) == repr(gamma_fn(s))
+    assert flags == {"overflow-saturation"}
+
+
+@pytest.mark.parametrize("z", [1.0, complex(-3.0, 0.1)], ids=["series", "kummer"])
+def test_upper_gamma_raises_a_stalled_sum_behind_a_finite_gamma(z, monkeypatch):
+    def stalled(*args):
+        raise NonConvergenceError("stalled")
+
+    monkeypatch.setattr(complexfn, "_lower_series_direct", stalled)
+    monkeypatch.setattr(complexfn, "_kummer_sum", stalled)
+    with pytest.raises(NonConvergenceError):
+        upper_gamma(2.5, z)
 
 
 def test_continued_fraction_does_not_fold_a_wrong_value_into_range():
