@@ -29,6 +29,13 @@ direction and ``bound``:
 The exit status is 1 when any metric of any workload at any seed is a
 regression and 0 otherwise.
 
+Before the pairs the script prints, for each side, whether its checkout
+holds a ``src/chebgamma/__pycache__``.  Where one does, that side's
+setup_s reads cached bytecode rather than compiling the package, even
+under ``PYTHONDONTWRITEBYTECODE=1``, which stops writing ``.pyc`` files
+but not reading them; its setup_s then cannot be compared with a side
+that compiles.
+
 Usage:
     python scripts/bench_pairs.py --parent ../parent \\
         --workload verify,sweep-wide,sweep-deep --pairs 10 --seconds 30 --seed 1
@@ -83,6 +90,13 @@ def verdict(parent, change, better: str, bound: float) -> str:
     return "flat"
 
 
+def bytecode_note(checkout: Path) -> str:
+    """Whether checkout holds cached bytecode of the package, in words."""
+    if (checkout / "src" / "chebgamma" / "__pycache__").is_dir():
+        return "src/chebgamma/__pycache__ present: setup_s reads cached bytecode"
+    return "no src/chebgamma/__pycache__: setup_s compiles the package"
+
+
 def run_once(checkout: Path, workload: str, seed: int, args) -> dict:
     """One benchmark run of workload at seed in checkout: metric name -> value."""
     done = subprocess.run(
@@ -135,6 +149,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
+    for side, checkout in sides.items():
+        print(f"{side} {checkout}: {bytecode_note(checkout)}", flush=True)
     # every workload and seed runs, even after one has regressed
     regressed = [compare(w, seed, sides, metrics, args)
                  for w in args.workload.split(",") for seed in args.seed]

@@ -171,18 +171,11 @@ def series_terminates(k):
     return _nearest_nonpos_int(-_scalar(k, "k"))
 
 
-def _finish(acc, shells_used: int, termination: str,
-            error_estimate: float, warnings: set) -> SeriesResult:
+def _finish(acc, used: int, termination: str, err: float, warnings: set) -> SeriesResult:
     # the loop's per-shell check has already flagged a non-finite sum
     for name in warnings:
         flag(name)
-    return SeriesResult(
-        value=complex(acc),
-        error_estimate=error_estimate,
-        shells_used=shells_used,
-        termination=termination,
-        warnings=frozenset(warnings),
-    )
+    return SeriesResult(complex(acc), err, used, termination, frozenset(warnings))
 
 
 # Shell weights as data, indexed by the parity of q.  The series weighs
@@ -200,11 +193,15 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     only ever sees contributing shells.
 
     A terminating k outside ``fixed`` takes the plain loop over shells
-    0..min(top, max_shell), with top the last shell of non-zero weight.
-    It reads the weighted shell (the shell itself under unit weights),
-    the weight and z^(-q), and checks after the loop only that the sum
-    stayed finite; the weight and z^(-q) left over belong to the next
-    shell, which no exact sum reads.  Only when the budget cuts the sum
+    0..last = min(top, max_shell), with top the last shell of non-zero
+    weight.  It takes the first last + 1 weighted shells (the shells
+    themselves under unit weights) from the stream, reads each with the
+    weight and z^(-q), and steps the weight by k - q with q kept as an
+    exact float (a running decrement of k would round differently once
+    k passes 2^53).  It counts no shell in the loop: shells_used follows
+    from last and the weight table.  After the loop it checks only that
+    the sum stayed finite; the weight and z^(-q) left over belong to the
+    next shell, which no exact sum reads.  Only when the budget cuts the sum
     short does it compute the growth radius and replay the envelope to
     the next shell, for the error estimate.
 
@@ -230,7 +227,7 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     k = _narrow(params.k)
     # the envelope steps by |k - q|, which has no double once |k| has none
     _modulus(k, "k")
-    bound = series_terminates(k)
+    bound = _nearest_nonpos_int(-k)
     if bound is not None:
         # Snap to the exact integer: the raw offset (< 1e-12) would
         # otherwise leave near-pole weight dust in shells past the
@@ -258,9 +255,10 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
     used = 0
     q = 0
     if bound is not None and not fixed:
-        # a zero-weight shell adds a zero term, and counts as no shell used
+        # a zero-weight shell adds a zero term
         terms = shells if weights is _UNIT_WEIGHTS else map(mul, cycle(weights), shells)
-        for q, t in zip(range(last + 1), terms):
+        j = 0.0  # shell q as an exact float
+        for t in islice(terms, last + 1):
             t = t * recip * zpow
             acc += t
             try:
@@ -269,9 +267,12 @@ def _sum_shells(params: SeriesParams, policy: TruncationPolicy, weights: tuple) 
                 # a finite term whose modulus outgrows a double
                 warnings.add(OVERFLOW_SATURATION)
                 abs_acc = math.inf
-            recip *= k - q
+            recip *= k - j
             zpow *= inv_z
-        used = sum(map(bool, islice(cycle(weights), last + 1)))
+            j += 1.0
+        # a zero-weight shell counts as no shell used: the difference
+        # series uses the odd shells of 0..last
+        used = last + 1 if weights[0] else (last + 1) // 2
         # a weight or power of z that overflows at a summed shell leaves the
         # sum non-finite, so one check covers every shell; recip and zpow
         # are now shell last + 1's: no exact sum reads them, and the walk

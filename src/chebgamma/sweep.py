@@ -29,18 +29,21 @@ columns past its eight coordinates, in column order.  The rows follow
 the product order of the axes, so the writer takes the coordinates from
 that product beside the buffered results.  A CSV file gets its header as
 one constant line; each grid value's two coordinate cells are formatted
-once per sweep, and the rows are rendered into one string per batch of
-at most 4096 rows, written with one ``write`` call per batch.  A
-warnings cell holding a comma, a quote or a line break is quoted by
-``csv.writer``.  JSON rows are keyed by column only when written.  The
-``csv`` and ``json`` modules are imported only on the paths that use
-them, so that importing this module, as every command does, stays cheap.
-Either format is written over the output file's old bytes, and only a
-longer old tail is trimmed (``_open_in_place``): a rerun into an
-existing file leaves exactly the new bytes without paying for a
-truncate to zero first.  Points that land on a singular parameter set,
-fall outside a kernel's domain (a modulus past the double range among
-them) or where a kernel does not converge are reported as
+once per sweep, and the header and rows are joined into one string per
+batch of at most 4096 lines.  A warnings cell holding a comma, a quote
+or a line break is quoted by ``csv.writer``.  JSON rows are keyed by
+column only when written, and ``json`` encodes them in chunks, joined
+4096 at a time, so the text is never held whole.  The ``csv`` and
+``json`` modules are imported only on the paths that use them, and
+``locale`` not at all, so that importing this module, as every command
+does, stays cheap.  One raw-descriptor writer (``_write_in_place``)
+writes either format: each batch is encoded as open(path, "w") encodes
+text and written with one ``os.write``, over the output file's old
+bytes, and only a longer old tail is trimmed, so a rerun into an
+existing file leaves exactly the new bytes without paying for a text
+layer or a truncate to zero first.  Points that land on a singular
+parameter set, fall outside a kernel's domain (a modulus past the double
+range among them) or where a kernel does not converge are reported as
 ``skipped-with-warning`` rows rather than aborting the sweep.  CSV
 numbers are written with ``"%.17g" %`` (the text of
 ``format(x, ".17g")``), 17 significant digits, so a parsed-back grid is
@@ -52,9 +55,9 @@ from __future__ import annotations
 import io
 import os
 import re
+import sys
 from collections import namedtuple
-from contextlib import contextmanager
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from ._flags import collect
 from .closedform import _shared_root_pairs, closed_form
@@ -230,41 +233,62 @@ def _evaluate_point(a, k, alpha, beta, config):
     return (*series, series_err, *closed, rel_diff, "; ".join(notes)), skip is not None
 
 
-def _keep_old_bytes(path, flags):
-    # open()'s own flags for "w" minus O_TRUNC, with its default mode 0o666
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+def _open_encoding():
+    """The encoding open() gives a text file, read without importing locale."""
+    if sys.flags.utf8_mode:
+        return "utf-8"
+    import _locale  # built in, unlike locale
+
+    # Python 3.10 names it _get_locale_encoding
+    return (getattr(_locale, "getencoding", None) or _locale._get_locale_encoding)()
 
 
-@contextmanager
-def _open_in_place(path, newline=None):
-    """Open path for text writing as open(path, "w") does, but over its old bytes.
+def _write_in_place(path, pieces, batch):
+    """Write text pieces to path as open(path, "w", newline="") does, over its old bytes.
 
-    The file is created as open() creates it, and an existing file is not
-    truncated to zero first; what is left of its old bytes past the new
-    ones is trimmed when the block ends, so the file then holds exactly
-    what was written.  Files that had no bytes, such as a pipe or
-    /dev/null, are never truncated.
+    The pieces are joined ``batch`` at a time, and each batch is encoded
+    as open() encodes text ("utf-8" in UTF-8 mode, else the locale's
+    encoding) and written with one os.write, repeated over what a short
+    write left.  The file is created as open() creates it, and an
+    existing file is not truncated to zero first; only a longer old tail
+    past the new bytes is trimmed, so the file then holds exactly what
+    was written.  Files that had no bytes, such as a pipe or /dev/null,
+    are never truncated.
 
-    The reason is measured: a rerun, and every step of the benchmark,
+    The reasons are measured.  A rerun, and every step of the benchmark,
     rewrites the same files, and a plain open(path, "w") pays a truncate
-    to zero each time.  With one in place of this, step_cu_p50 read
-    12.1% higher on sweep-deep and 4.8% higher on sweep-wide, worse in
-    each of 4 alternating pairs of 30 s at seed 1 (scripts/bench_pairs.py,
-    2-vCPU x86_64, CPython 3.11).
+    to zero each time: a text file opened that way in place of one
+    opened over the old bytes read step_cu_p50 12.1% higher on sweep-deep
+    and 4.8% higher on sweep-wide, worse in each of 4 alternating pairs
+    of 30 s at seed 1.
+    The raw descriptor then skips the text layer: rewriting a 3-row CSV
+    file in place took 12.6 us of CPU through a text file opened over
+    its old bytes and 4.9 us here (20,000 rewrites), and each sweep-deep
+    step writes 80 such files.  Together with the plain loop of
+    series._sum_shells, step_cu_p50 read 9.1% lower on sweep-deep
+    (23.65 -> 21.50 at seed 1, 23.64 -> 21.48 at seed 2), better in each
+    of 10 alternating pairs of 30 s at each seed.  All pairs were run
+    with scripts/bench_pairs.py on a 2-vCPU x86_64 machine, CPython 3.11.
     """
-    with open(path, "w", newline=newline, opener=_keep_old_bytes) as fh:
-        try:
-            yield fh
-        finally:
-            old_size = os.fstat(fh.fileno()).st_size
-            if old_size and fh.tell() < old_size:
-                fh.truncate()
+    encoding = _open_encoding()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        size = 0
+        while text := "".join(islice(pieces, batch)):
+            data = memoryview(text.encode(encoding))
+            size += len(data)
+            while data:
+                data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 # csv.writer leaves a text cell without these characters as it is.
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 _CSV_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
-# Rows rendered into one string per write.
+# CSV lines, or JSON chunks, joined into one string per write.
 _CSV_BATCH = 4096
 
 
@@ -312,20 +336,18 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
                         results.append(result)
 
     if config.format == "csv":
-        with _open_in_place(config.output_path, newline="") as fh:
-            fh.write(_CSV_HEADER)
-            lines = _csv_rows(config, results)
-            while batch := "".join(islice(lines, _CSV_BATCH)):
-                fh.write(batch)
+        pieces = chain((_CSV_HEADER,), _csv_rows(config, results))
     else:
         import json
 
         points = product(config.a, config.k, config.alpha, config.beta)
-        with _open_in_place(config.output_path) as fh:
-            json.dump({"rows": [
-                dict(zip(SWEEP_COLUMNS, (a.real, a.imag, k.real, k.imag, alpha.real,
-                                         alpha.imag, beta.real, beta.imag, *result)))
-                for (a, k, alpha, beta), result in zip(points, results)]}, fh, indent=2)
-            fh.write("\n")
-    return SweepSummary(points_evaluated=len(results), failures=failures,
-                        output_path=config.output_path)
+        doc = {"rows": [
+            dict(zip(SWEEP_COLUMNS, (a.real, a.imag, k.real, k.imag, alpha.real,
+                                     alpha.imag, beta.real, beta.imag, *result)))
+            for (a, k, alpha, beta), result in zip(points, results)]}
+        # the chunks json.dump(doc, fh, indent=2) writes, with open()'s
+        # newline translation of "w"
+        pieces = (chunk.replace("\n", os.linesep) for chunk in chain(
+            json.JSONEncoder(indent=2).iterencode(doc), ("\n",)))
+    _write_in_place(config.output_path, pieces, _CSV_BATCH)
+    return SweepSummary(len(results), failures, config.output_path)

@@ -2,9 +2,10 @@
 
 The verification harness, and ``hashlib`` and ``json`` behind it, load on
 first use, and the sweep writer imports ``json`` and ``csv`` only on the
-paths that write them.  So a fresh interpreter that imports ``chebgamma``
-and ``chebgamma.cli`` and parses a sweep config, as every ``chebgamma``
-command does before it runs, loads none of them.  Every name the package
+paths that write them, and ``locale`` not at all.  So a fresh interpreter
+that imports ``chebgamma`` and ``chebgamma.cli`` and parses a sweep
+config, as every ``chebgamma`` command does before it runs, loads none of
+them.  Every name the package
 and its submodules export still resolves once they are loaded.
 """
 
@@ -20,7 +21,7 @@ import pytest
 import chebgamma
 
 SRC = Path(chebgamma.__file__).resolve().parents[1]
-DEFERRED = ("chebgamma.harness", "hashlib", "json", "csv", "dataclasses", "inspect")
+DEFERRED = ("chebgamma.harness", "hashlib", "json", "csv", "dataclasses", "inspect", "locale")
 HARNESS_NAMES = ("CaseReport", "VerificationCase", "case_ids", "compare", "run_all", "run_case")
 
 # The modules present before the first import are the interpreter's own
@@ -38,10 +39,18 @@ import chebgamma, chebgamma.cli
 from chebgamma.sweep import parse_sweep_config
 parse_sweep_config("a = 1\\nk = 2, 2.5\\nalpha = 0.5\\nbeta = -0.5, 0.25i\\nformat = json\\n")"""
 
+# a CSV sweep with a quoted warnings cell, then a JSON one
+SWEEP_RUN = """\
+import os
+from chebgamma.sweep import SweepConfig, run_sweep
+for fmt in ("csv", "json"):
+    run_sweep(SweepConfig(a=(5 + 0j,), k=(1e308 + 1e308j,), alpha=(0.3 + 0j,),
+                          beta=(-0.4 + 0j,), output_path=os.devnull, format=fmt))"""
 
-def _loaded_by(code: str) -> set:
+
+def _loaded_by(code: str, *options: str) -> set:
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", PROBE.format(code)],
+    done = subprocess.run([sys.executable, *options, "-c", PROBE.format(code)],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60, check=True)
     return set(done.stdout.split())
@@ -51,6 +60,14 @@ def test_import_and_config_parse_load_no_driver_module():
     loaded = _loaded_by(COMMAND_START)
     assert "chebgamma.cli" in loaded and "chebgamma.sweep" in loaded
     assert loaded.isdisjoint(DEFERRED), sorted(loaded.intersection(DEFERRED))
+
+
+@pytest.mark.parametrize("utf8_mode", ["0", "1"])
+def test_writing_a_sweep_loads_no_locale(utf8_mode):
+    # the writer takes open()'s encoding from the built-in _locale
+    loaded = _loaded_by(SWEEP_RUN, "-X", f"utf8={utf8_mode}")
+    assert {"chebgamma.sweep", "csv", "json"} <= loaded
+    assert "locale" not in loaded
 
 
 def test_importing_the_harness_loads_neither_dataclasses_nor_inspect():

@@ -1,5 +1,6 @@
 """Verification harness, sweep engine, and the batch CLI."""
 
+import codecs
 import csv
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import os
 import random
 import stat
 import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -500,6 +502,77 @@ def test_sweep_into_a_missing_directory_raises(tmp_path, fmt):
         run_sweep(_small_sweep(tmp_path / "missing" / "grid", fmt))
 
 
+def _skipping_sweep(path, fmt):
+    # k = 1e308+1e308i is skipped with a warning that holds a comma, which
+    # csv.writer quotes; alpha = beta is skipped too
+    return SweepConfig(a=(5 + 0j,), k=(1e308 + 1e308j, 2.5 + 0j), alpha=(0.3 + 0j,),
+                       beta=(-0.4 + 0j, 0.3 + 0j), output_path=str(path), format=fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_through_short_writes_leaves_the_same_bytes(tmp_path, monkeypatch, fmt):
+    whole, short = tmp_path / "whole", tmp_path / "short"
+    run_sweep(_skipping_sweep(whole, fmt))
+    short.write_bytes(b"\xff" * 100_000)
+    write, sizes = os.write, []
+
+    def write_at_most_seven(fd, data):
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", write_at_most_seven)
+    run_sweep(_skipping_sweep(short, fmt))
+    monkeypatch.undo()
+    assert len(sizes) > 1 and set(sizes) <= set(range(1, 8))
+    assert short.read_bytes() == whole.read_bytes()
+
+
+def test_sweep_files_hold_the_text_open_w_writes(tmp_path):
+    # the rows read back and written again through a text file by the csv
+    # and json modules, as the sweep wrote them before it used os.write
+    grid, table = tmp_path / "grid.csv", tmp_path / "table.csv"
+    assert run_sweep(_skipping_sweep(grid, "csv")).failures == 3
+    with open(grid, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert ", z=" in rows[1][-1] and f',"{rows[1][-1]}"\n' in grid.read_text()
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert grid.read_bytes() == table.read_bytes()
+    doc, dumped = tmp_path / "grid.json", tmp_path / "dumped.json"
+    run_sweep(_skipping_sweep(doc, "json"))
+    with open(doc) as fh:
+        rows = json.load(fh)
+    assert len(rows["rows"]) == 4
+    with open(dumped, "w") as fh:
+        json.dump(rows, fh, indent=2)
+        fh.write("\n")
+    assert doc.read_bytes() == dumped.read_bytes()
+
+
+def test_sweep_writer_encodes_text_as_open_w_does(tmp_path):
+    text = ["a,\u00e9\n", "\u00fc,b\n"] * 3
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    sweep_module._write_in_place(ours, iter(text), 4)
+    with open(theirs, "w", newline="") as fh:
+        fh.write("".join(text))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("utf8_mode", ["0", "1"])
+def test_sweep_writer_takes_the_encoding_of_open_w(utf8_mode):
+    # In the C locale without UTF-8 mode open() encodes ASCII, and in
+    # UTF-8 mode UTF-8, whatever the locale
+    code = ("import os; from chebgamma.sweep import _open_encoding; "
+            "print(_open_encoding(), open(os.devnull, 'w').encoding)")
+    src = str(Path(sweep_module.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-X", f"utf8={utf8_mode}", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    ours, theirs = done.stdout.split()
+    assert codecs.lookup(ours).name == codecs.lookup(theirs).name
+    assert codecs.lookup(ours).name == ("utf-8" if utf8_mode == "1" else "ascii")
+
+
 def test_skipped_row_keeps_the_flags_of_the_route_that_ran(tmp_path):
     # At k = 180 the series overflows and flags it; at alpha = beta the
     # closed form is then refused.  The skipped row still carries the flag.
@@ -934,6 +1007,27 @@ def test_bench_pairs_verdict_follows_the_pair_rule():
     # a tie counts for neither side
     assert pairs.wins([1.0, 2.0], [1.0, 1.0], "lower") == 1
     assert pairs.quartiles([5.0]) == (5.0, 5.0, 5.0)
+
+
+def test_bench_pairs_says_which_side_reads_cached_bytecode(monkeypatch, capsys, tmp_path):
+    pairs = _script("bench_pairs")
+    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+    (cached / "src" / "chebgamma" / "__pycache__").mkdir(parents=True)
+    (fresh / "src" / "chebgamma").mkdir(parents=True)
+    assert pairs.bytecode_note(cached) == (
+        "src/chebgamma/__pycache__ present: setup_s reads cached bytecode")
+    assert pairs.bytecode_note(fresh) == (
+        "no src/chebgamma/__pycache__: setup_s compiles the package")
+    metrics = json.loads((Path(pairs.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]
+    monkeypatch.setattr(pairs, "run_once", lambda *args: {m["name"]: 1.0 for m in metrics})
+    argv = ["--pairs", "1", "--seconds", "1", "--workload", "verify"]
+    for parent in (cached, fresh):
+        assert pairs.main(["--parent", str(parent)] + argv) == 0
+        first, second, third = capsys.readouterr().out.splitlines()[:3]
+        assert first == f"parent {parent}: {pairs.bytecode_note(parent)}"
+        assert second == f"change {pairs.ROOT}: {pairs.bytecode_note(pairs.ROOT)}"
+        # the notes come before the first run
+        assert third.startswith("verify seed 1 pair 1 parent ")
 
 
 def test_bench_pairs_judges_each_workload_of_a_list(monkeypatch, capsys):

@@ -402,6 +402,36 @@ def test_terminating_sum_at_every_budget_matches_enumeration(fn):
             assert fn(params(beta, alpha, float(k), z), policy) == res
 
 
+@pytest.mark.parametrize("fn, expected", [
+    (series_sum, "SeriesResult(value=(-8.487216716965962e-18+0j), "
+     "error_estimate=4.3322963971286963e-16, shells_used=9, "
+     "termination='budget-exhausted', warnings=frozenset())"),
+    (difference_series, "SeriesResult(value=(6.945372003830306e-17+0j), "
+     "error_estimate=8.664592794162421e-16, shells_used=4, "
+     "termination='budget-exhausted', warnings=frozenset())"),
+], ids=["series_sum", "difference_series"])
+def test_plain_loop_steps_the_weight_by_k_minus_an_exact_shell_index(fn, expected):
+    # Past 2^53 the factors k - q of the weight round: k - 1.0, k - 2.0 and
+    # k - 3.0 read 2^53, 2^53 and 2^53 - 1, where a running decrement of k
+    # reads 2^53, 2^53 - 1 and 2^53 - 2, and the value then moves in its
+    # last digits (-8.48721671696592e-18 and 6.945372003830301e-17).
+    point = params(0.3, -0.55, 2.0 ** 53 + 2.0, 1e16)
+    assert repr(fn(point, TruncationPolicy(max_shell=8))) == expected
+
+
+@pytest.mark.parametrize("k", [9, 10])
+@pytest.mark.parametrize("fn", [series_sum, difference_series])
+def test_plain_loop_counts_the_contributing_shells_at_every_budget(fn, k):
+    # shells 0..min(max_shell, k) are summed; the difference series weighs
+    # only the odd ones
+    shells_of = (lambda q: True) if fn is series_sum else (lambda q: q % 2 == 1)
+    point = params(0.3, -0.55, float(k), 20.0)
+    for max_shell in range(4, k + 2):
+        res = fn(point, TruncationPolicy(max_shell=max_shell))
+        kept = min(max_shell, k)
+        assert res.shells_used == sum(1 for q in range(kept + 1) if shells_of(q))
+
+
 def test_budget_that_only_leaves_out_zero_shells_terminates_exactly():
     # k = 6: the odd-shell difference series ends at q = 5, so the budget
     # max_shell = 5 leaves out only the identically zero shell q = 6
