@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from chebgamma import SeriesParams, TruncationPolicy, closed_form, series_sum  # noqa: E402
+from chebgamma import SeriesParams, closed_form, series_sum  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -36,7 +36,6 @@ def main(argv=None) -> int:
     if args.points < 2 or not 0.0 < args.zmin < args.zmax:
         parser.error("need --points >= 2 and 0 < --zmin < --zmax")
 
-    policy = TruncationPolicy(mode="optimal")
     print(f"k = {args.k}, alpha = {args.alpha}, beta = {args.beta}")
     print(f"{'a*pi':>10}  {'shells':>6}  {'estimate':>10}  {'|dev|':>10}  "
           f"{'honest':>6}  warnings")
@@ -44,7 +43,7 @@ def main(argv=None) -> int:
     z = args.zmin
     for _ in range(args.points):
         p = SeriesParams(a=z / math.pi, k=args.k, alpha=args.alpha, beta=args.beta)
-        res = series_sum(p, policy)
+        res = series_sum(p)
         dev = abs(res.value - closed_form(p))
         honest = "yes" if dev <= res.error_estimate else "NO"
         notes = ",".join(sorted(res.warnings)) if res.warnings else "-"

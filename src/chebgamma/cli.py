@@ -97,10 +97,10 @@ def _cmd_eval(args) -> int:
                 value = closed_form(params)
             else:
                 value = 0j
-                for spec in TWELVE_TERMS:
+                for index, spec in enumerate(TWELVE_TERMS, 1):
                     term = contour_term(spec, params)
                     value += term
-                    print(f"term {spec.index:2d} ({spec.variable}, root {spec.root_sign}, "
+                    print(f"term {index:2d} ({spec.variable}, root {spec.root_sign}, "
                           f"shift {spec.order_shift:+d}) = {_fmt(term)}")
     print(f"value = {_fmt(value)}")
     print(f"warnings = {','.join(sorted(seen)) if seen else '-'}")
@@ -142,7 +142,7 @@ def _cmd_sweep(args) -> int:
     summary = run_sweep(config)
     print(f"points = {summary.points_evaluated}")
     print(f"failures = {summary.failures}")
-    print(f"output = {summary.output_path}")
+    print(f"output = {config.output_path}")
     return 0
 
 

@@ -24,8 +24,11 @@ as minus its conjugate (Schwarz reflection of the incomplete gamma), bit
 for bit what the second root gives; complex inputs run all four roots.
 Each root keeps three incomplete gammas at the literal orders k, k + 1
 and k + 2, with no recurrence between them, so that the route checks
-any shortcut ``closed_form`` takes across orders.  The remaining
-functions are fixed reference formulas: the all-ones limit, the golden-ratio point, the
+any shortcut ``closed_form`` takes across orders.  ``limit_eval`` crosses
+the removable singularities, alpha = beta and alpha = +-1, where the
+bracket is 0/0: it reads the set from the point and extrapolates
+closed forms along a path off it.  The remaining functions are fixed
+reference formulas: the all-ones limit, the golden-ratio point, the
 error-function point, and the odd-shell difference identities at
 alpha = beta = c.  Those are the double-root formula at c = 1 and one
 formula in c over the simple roots c +- sqrt(c^2 - 1) for c = 2..5.
@@ -68,7 +71,6 @@ from .series import SeriesParams, _modulus, _scalar
 __all__ = [
     "TWELVE_TERMS",
     "ContourTermSpec",
-    "LimitSpec",
     "closed_form",
     "closed_form_cos",
     "contour_term",
@@ -115,7 +117,7 @@ def _check_regular(params: SeriesParams, alpha_side: bool = True, beta_side: boo
         raise SingularParameterError("a*pi must be nonzero")
 
 
-class ContourTermSpec(namedtuple("ContourTermSpec", "index variable root_sign order_shift")):
+class ContourTermSpec(namedtuple("ContourTermSpec", "variable root_sign order_shift")):
     """One addend of the twelve-term decomposition.
 
     (variable, root_sign, order_shift) is a primary key: the twelve specs
@@ -128,29 +130,29 @@ class ContourTermSpec(namedtuple("ContourTermSpec", "index variable root_sign or
 
     __slots__ = ()
 
-    def __new__(cls, index, variable, root_sign, order_shift):
+    def __new__(cls, variable, root_sign, order_shift):
         if variable not in ("alpha-side", "beta-side"):
             raise ConfigError(f"bad variable {variable!r}")
         if root_sign not in ("+", "-"):
             raise ConfigError(f"bad root_sign {root_sign!r}")
         if order_shift not in (-1, 0, 1):
             raise ConfigError(f"bad order_shift {order_shift!r}")
-        return super().__new__(cls, index, variable, root_sign, order_shift)
+        return super().__new__(cls, variable, root_sign, order_shift)
 
 
 TWELVE_TERMS = (
-    ContourTermSpec(1, "alpha-side", "+", +1),
-    ContourTermSpec(2, "alpha-side", "+", 0),
-    ContourTermSpec(3, "alpha-side", "-", +1),
-    ContourTermSpec(4, "alpha-side", "-", 0),
-    ContourTermSpec(5, "alpha-side", "+", -1),
-    ContourTermSpec(6, "alpha-side", "-", -1),
-    ContourTermSpec(7, "beta-side", "+", +1),
-    ContourTermSpec(8, "beta-side", "+", 0),
-    ContourTermSpec(9, "beta-side", "+", -1),
-    ContourTermSpec(10, "beta-side", "-", +1),
-    ContourTermSpec(11, "beta-side", "-", 0),
-    ContourTermSpec(12, "beta-side", "-", -1),
+    ContourTermSpec("alpha-side", "+", +1),
+    ContourTermSpec("alpha-side", "+", 0),
+    ContourTermSpec("alpha-side", "-", +1),
+    ContourTermSpec("alpha-side", "-", 0),
+    ContourTermSpec("alpha-side", "+", -1),
+    ContourTermSpec("alpha-side", "-", -1),
+    ContourTermSpec("beta-side", "+", +1),
+    ContourTermSpec("beta-side", "+", 0),
+    ContourTermSpec("beta-side", "+", -1),
+    ContourTermSpec("beta-side", "-", +1),
+    ContourTermSpec("beta-side", "-", 0),
+    ContourTermSpec("beta-side", "-", -1),
 )
 
 
@@ -492,79 +494,67 @@ def diff_closed_form(c: int, a, k) -> complex:
     return checked(_diff_c1(a, k) if c == 1 else _diff_c(c, a, k))
 
 
-def _nudge_beta(p: SeriesParams, eps: float) -> SeriesParams:
-    nudged = p.beta + eps if p.beta == 0 else p.beta * (1.0 + eps)
-    return SeriesParams(a=p.a, k=p.k, alpha=p.alpha, beta=nudged)
+def _limit_path(p: SeriesParams):
+    """eps -> the point limit_eval evaluates at, off the set p sits on.
 
-
-# kind -> (on its singular set?, the point perturbed off it by eps)
-_LIMIT_KINDS = {
-    "alpha-to-beta": (
-        lambda p: abs(p.alpha - p.beta) <= _MOAT,
-        _nudge_beta),
-    "alpha-to-one": (
-        lambda p: abs(p.alpha - 1.0) <= _MOAT,
-        lambda p, eps: SeriesParams(a=p.a, k=p.k, alpha=1.0 - eps, beta=p.beta)),
-    "alpha-to-minus-one": (
-        lambda p: abs(p.alpha + 1.0) <= _MOAT,
-        lambda p, eps: SeriesParams(a=p.a, k=p.k, alpha=-1.0 + eps, beta=p.beta)),
-    # distinct rates keep alpha and beta separated while both approach 1
-    # along the real axis from inside
-    "both-to-one": (
-        lambda p: abs(p.alpha - 1.0) <= _MOAT and abs(p.beta - 1.0) <= _MOAT,
-        lambda p, eps: SeriesParams(a=p.a, k=p.k, alpha=1.0 - eps, beta=1.0 - 2.0 * eps)),
-}
+    The sets are tested in the order the limit_eval docstring lists.
+    """
+    a, k, alpha, beta = p.a, p.k, p.alpha, p.beta
+    try:
+        if abs(alpha - 1.0) <= _MOAT:
+            if abs(beta - 1.0) <= _MOAT:
+                # distinct rates keep alpha and beta separated while both
+                # approach 1 along the real axis from inside
+                return lambda eps: SeriesParams(a=a, k=k, alpha=1.0 - eps, beta=1.0 - 2.0 * eps)
+            return lambda eps: SeriesParams(a=a, k=k, alpha=1.0 - eps, beta=beta)
+        if abs(alpha + 1.0) <= _MOAT:
+            return lambda eps: SeriesParams(a=a, k=k, alpha=-1.0 + eps, beta=beta)
+        if abs(alpha - beta) <= _MOAT:
+            # a step of eps, or of eps |beta| past |beta| = 1: a step
+            # relative to a tiny beta would land back inside the moat
+            step = max(1.0, abs(beta))
+            return lambda eps: SeriesParams(a=a, k=k, alpha=alpha, beta=beta + eps * step)
+    except OverflowError:
+        raise _overflow_error(p) from None
+    raise SingularParameterError(
+        "params sit on no removable singular set (alpha = beta, or alpha at +-1)")
 
 
 # limit_eval's perturbation ladder: eps_j = _LIMIT_EPS0 * 2^-j for j below
-# _LIMIT_LEVELS.  Its smallest step, 1e-2 * 2^-5 = 3.1e-4, stays far
-# outside the moat (2 * _MOAT).
+# _LIMIT_LEVELS.  Every path steps its moving variable by at least eps_j,
+# so even the smallest level, 1e-2 * 2^-5 = 3.1e-4, lands about 300 moats
+# (_MOAT = 1e-6) off the set the point sits on.
 _LIMIT_EPS0 = 1e-2
 _LIMIT_LEVELS = 6
 
 
-class LimitSpec(namedtuple("LimitSpec", "kind")):
-    """The singular set ``limit_eval`` approaches.
-
-    ``kind`` is ``alpha-to-beta``, ``alpha-to-one``, ``alpha-to-minus-one``
-    or ``both-to-one``.  The perturbation ladder is not an option: it is
-    the module constants ``_LIMIT_EPS0`` and ``_LIMIT_LEVELS``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind):
-        if not isinstance(kind, str) or kind not in _LIMIT_KINDS:
-            raise ConfigError(
-                f"kind must be one of {tuple(_LIMIT_KINDS)}, got {kind!r}")
-        return super().__new__(cls, kind)
-
-
-def limit_eval(params: SeriesParams, limit: LimitSpec) -> complex:
+def limit_eval(params: SeriesParams) -> complex:
     """closed_form at a removable singularity, by extrapolating in epsilon.
 
-    Evaluates on the six levels eps_j = 1e-2 * 2^-j, j = 0..5
+    The point picks its perturbation path (``_limit_path``), tested in
+    this order, each within 1e-6 (``_MOAT``):
+
+    * alpha and beta both at 1: alpha = 1 - eps, beta = 1 - 2 eps;
+    * alpha at +1: alpha = 1 - eps;
+    * alpha at -1: alpha = -1 + eps;
+    * alpha = beta: beta = beta + eps max(1, |beta|);
+
+    and a point on none of them raises SingularParameterError.  Evaluates
+    on the six levels eps_j = 1e-2 * 2^-j, j = 0..5
     (``_LIMIT_EPS0``, ``_LIMIT_LEVELS``), and Richardson-extrapolates with an
     O(eps) leading-error model (the singular point is a 0/0 of functions
     even in each square root, so the value is analytic in eps along the
     perturbation path).  Raises when the extrapolants stop contracting
     by at least 2 per level above the rounding floor.
 
-    The levels share their root pairs (``_shared_root_pairs``): each kind
-    holds one variable fixed, or, in ``both-to-one``, takes beta at one
+    The levels share their root pairs (``_shared_root_pairs``): each path
+    holds one variable fixed, or, at alpha = beta = 1, takes beta at one
     level bit for bit equal to alpha at the level before (1 - 2 eps_j =
     1 - eps_(j-1)), so the six levels compute seven root pairs, not twelve.
     """
-    on_singular_set, perturbed = _LIMIT_KINDS[limit.kind]
-    try:
-        on_set = on_singular_set(params)
-    except OverflowError:
-        raise _overflow_error(params) from None
-    if not on_set:
-        raise SingularParameterError(
-            f"params do not sit on the {limit.kind} singular set")
+    perturbed = _limit_path(params)
     with _shared_root_pairs():
-        values = [closed_form(perturbed(params, _LIMIT_EPS0 * 0.5 ** j))
+        values = [closed_form(perturbed(_LIMIT_EPS0 * 0.5 ** j))
                   for j in range(_LIMIT_LEVELS)]
     prev, diag = [], []
     for j, value in enumerate(values):

@@ -31,7 +31,6 @@ from ._flags import collect
 from .closedform import (
     _DIFF_BRANCH_SENSITIVE,
     TWELVE_TERMS,
-    LimitSpec,
     closed_form,
     closed_form_cos,
     contour_term,
@@ -249,7 +248,7 @@ _REGISTRY = (
         # rng.uniform inside the choice tuple draws before rng.choice does
         draw=lambda rng: (rng.choice((1.0, 2.0, -0.5, rng.uniform(0.5, 3.0))),
                           rng.uniform(8.0, 40.0)),
-        lhs=lambda k, z: limit_eval(_params(k, z, 1.0, 1.0), LimitSpec(kind="both-to-one")),
+        lhs=lambda k, z: limit_eval(_params(k, z, 1.0, 1.0)),
         rhs=lambda k, z: prop1_value(z / math.pi, k)),
     VerificationCase(
         "prop1-k1",

@@ -139,7 +139,7 @@ class SweepConfig(namedtuple(
         return super().__new__(cls, a, k, alpha, beta, mode, policy, output_path, format)
 
 
-SweepSummary = namedtuple("SweepSummary", "points_evaluated failures output_path")
+SweepSummary = namedtuple("SweepSummary", "points_evaluated failures")
 
 
 _AXIS_KEYS = ("a", "k", "alpha", "beta")
@@ -320,9 +320,9 @@ def _csv_rows(config, results):
 def run_sweep(config: SweepConfig) -> SweepSummary:
     """Evaluate the full grid and write one row per point.
 
-    Returns the number of points, the number of rows that could not be
-    evaluated (singular or out-of-domain parameters), and the output
-    path.  IO errors propagate to the caller.
+    Returns the number of points and the number of rows that could not
+    be evaluated (singular or out-of-domain parameters).  IO errors
+    propagate to the caller.
     """
     results = []
     failures = 0
@@ -350,4 +350,4 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
         pieces = (chunk.replace("\n", os.linesep) for chunk in chain(
             json.JSONEncoder(indent=2).iterencode(doc), ("\n",)))
     _write_in_place(config.output_path, pieces, _CSV_BATCH)
-    return SweepSummary(len(results), failures, config.output_path)
+    return SweepSummary(len(results), failures)

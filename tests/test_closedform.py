@@ -20,7 +20,6 @@ from chebgamma import (
     ConfigError,
     ContourTermSpec,
     KernelDomainError,
-    LimitSpec,
     NonConvergenceError,
     PoleError,
     SeriesParams,
@@ -70,7 +69,6 @@ def test_twelve_specs_tile_the_key_space():
                     for v in ("alpha-side", "beta-side")
                     for r in ("+", "-")
                     for d in (-1, 0, 1)}
-    assert [s.index for s in TWELVE_TERMS] == list(range(1, 13))
 
 
 def test_term_sum_equals_assembled_form_200_draws():
@@ -562,54 +560,93 @@ def test_closed_form_on_a_wrong_continued_fraction_value_is_flagged_or_right():
 
 # ------------------------------------------------------------------ limits
 
-def test_limit_spec_validation():
-    with pytest.raises(ConfigError):
-        LimitSpec(kind="sideways")
-
-
-def test_limit_spec_refuses_an_unhashable_kind():
-    with pytest.raises(ConfigError) as err:
-        LimitSpec(["x"])
-    assert str(err.value).endswith("got ['x']")
-
-
 def test_limit_requires_singular_point():
     with pytest.raises(SingularParameterError):
-        limit_eval(params(0.3, -0.2, 2.0, 10.0), LimitSpec(kind="alpha-to-beta"))
+        limit_eval(params(0.3, -0.2, 2.0, 10.0))
 
 
-@pytest.mark.parametrize("kind", ["alpha-to-beta", "alpha-to-one", "alpha-to-minus-one",
-                                  "both-to-one"])
-def test_limit_refuses_an_argument_whose_modulus_overflows(kind):
+_HUGE = 1.5e308 + 1.5e308j
+
+
+# Each point sits on, or next to, the singular set its id names, with a
+# coordinate whose modulus overflows; the last sits on none of them.
+@pytest.mark.parametrize("alpha, beta", [
+    (_HUGE, _HUGE),
+    (1.0, _HUGE),
+    (-1.0, _HUGE),
+    (_HUGE, 1.0),
+    (_HUGE, -0.55),
+], ids=["alpha-to-beta", "alpha-to-one", "alpha-to-minus-one", "both-to-one",
+        "off-every-set"])
+def test_limit_refuses_an_argument_whose_modulus_overflows(alpha, beta):
     with pytest.raises(KernelDomainError) as err:
-        limit_eval(params(1.5e308 + 1.5e308j, -0.55, 2.5, 3.0 * math.pi), LimitSpec(kind=kind))
-    assert str(err.value) == (
-        "|alpha - beta|, |alpha| or |beta| overflows a double at "
-        "alpha=(1.5e+308+1.5e+308j), beta=(-0.55+0j)")
+        limit_eval(params(alpha, beta, 2.5, 3.0 * math.pi))
+    message = str(err.value)
+    assert message.startswith("|alpha - beta|, |alpha| or |beta| overflows a double at alpha=")
+    assert message.endswith(f", beta={complex(beta)}")
+    # at alpha = -1 the refusal comes from closed_form at the first
+    # perturbed point, so the message names that alpha, not -1
+    if alpha != -1.0:
+        assert message == (
+            "|alpha - beta|, |alpha| or |beta| overflows a double at "
+            f"alpha={complex(alpha)}, beta={complex(beta)}")
 
 
 def test_limit_both_to_one_order_one_anchor():
-    got = limit_eval(params(1.0, 1.0, 1.0, 10.0), LimitSpec(kind="both-to-one"))
+    got = limit_eval(params(1.0, 1.0, 1.0, 10.0))
     assert rel(got, 1.2) < 1e-8
 
 
 def test_limit_alpha_to_beta_matches_finite_series():
-    got = limit_eval(params(0.5, 0.5, 2.0, 10.0), LimitSpec(kind="alpha-to-beta"))
+    got = limit_eval(params(0.5, 0.5, 2.0, 10.0))
     ref = finite_series_exact(0.5, 0.5, 2, 10.0)
     assert rel(got, ref) <= 1e-7
 
 
 def test_limit_edge_of_interval_kinds():
     # alpha at +1 and -1 with a regular beta; reference is the finite series.
-    got = limit_eval(params(1.0, 0.25, 2.0, 12.0), LimitSpec(kind="alpha-to-one"))
+    got = limit_eval(params(1.0, 0.25, 2.0, 12.0))
     assert rel(got, finite_series_exact(1.0, 0.25, 2, 12.0)) <= 1e-7
-    got = limit_eval(params(-1.0, 0.25, 3.0, 12.0), LimitSpec(kind="alpha-to-minus-one"))
+    got = limit_eval(params(-1.0, 0.25, 3.0, 12.0))
     assert rel(got, finite_series_exact(-1.0, 0.25, 3, 12.0)) <= 1e-7
 
 
 def test_limit_both_to_one_worked_magnitude():
-    got = limit_eval(params(1.0, 1.0, -0.5, E4), LimitSpec(kind="both-to-one"))
+    got = limit_eval(params(1.0, 1.0, -0.5, E4))
     assert rel(got, prop1_value(E4 / math.pi, -0.5)) <= 1e-6
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-5, -2e-3])
+def test_limit_alpha_to_beta_near_zero(beta):
+    # beta steps off alpha by eps_j, not by eps_j |beta|: a step relative
+    # to a tiny beta would land back inside the moat and raise
+    got = limit_eval(params(beta, beta, 2.0, 10.0))
+    assert rel(got, finite_series_exact(beta, beta, 2, 10.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("point, first_level, on_set", [
+    ((1.0, 1.0, 1.0, 10.0), (0.99, 0.98), (1.0, 1.0)),             # both at 1
+    ((1.0, 0.25, 2.0, 12.0), (0.99, 0.25), (1.0, 0.25)),           # alpha at +1
+    ((-1.0, 0.25, 3.0, 12.0), (-0.99, 0.25), (-1.0, 0.25)),        # alpha at -1
+    ((0.5, 0.5, 2.0, 10.0), (0.5, 0.51), (0.5, 0.5)),              # alpha = beta
+    # alpha 0.8e-6 off 1 and beta 0.8e-6 off alpha: alpha at +1 comes
+    # first, since moving beta off alpha would leave alpha in the moat of 1
+    ((1.0 - 0.8e-6, 1.0 - 1.6e-6, 2.0, 10.0), (0.99, 1.0 - 1.6e-6), (1.0, 1.0 - 1.6e-6)),
+])
+def test_limit_reads_its_path_from_the_point(monkeypatch, point, first_level, on_set):
+    levels = []
+    closed = cf.closed_form
+
+    def recording(p):
+        levels.append((p.alpha, p.beta))
+        return closed(p)
+
+    monkeypatch.setattr(cf, "closed_form", recording)
+    got = cf.limit_eval(params(*point))
+    assert len(levels) == 6
+    assert levels[0] == first_level
+    k, a_pi = point[2:]
+    assert rel(got, finite_series_exact(*on_set, int(k), a_pi)) <= 1e-9
 
 
 def test_limit_non_convergence_is_detected(monkeypatch):
@@ -623,7 +660,7 @@ def test_limit_non_convergence_is_detected(monkeypatch):
 
     monkeypatch.setattr(cf, "closed_form", stubborn)
     with pytest.raises(NonConvergenceError):
-        cf.limit_eval(params(0.5, 0.5, 2.0, 10.0), LimitSpec(kind="alpha-to-beta"))
+        cf.limit_eval(params(0.5, 0.5, 2.0, 10.0))
 
 
 # ------------------------------------------------------- root-pair scope
@@ -659,22 +696,21 @@ def same_bits(x, y):
                for u, v in ((x.real, y.real), (x.imag, y.imag)))
 
 
-@pytest.mark.parametrize("point, kind", [
-    ((0.5, 0.5, 2.0, 10.0), "alpha-to-beta"),
-    ((1.0, 0.25, 2.0, 12.0), "alpha-to-one"),
-    ((-1.0, 0.25, 3.0, 12.0), "alpha-to-minus-one"),
-    ((1.0, 1.0, -0.5, 10.0), "both-to-one"),
+@pytest.mark.parametrize("point", [
+    (0.5, 0.5, 2.0, 10.0),
+    (1.0, 0.25, 2.0, 12.0),
+    (-1.0, 0.25, 3.0, 12.0),
+    (1.0, 1.0, -0.5, 10.0),
 ])
-def test_limit_levels_share_their_root_pairs(monkeypatch, point, kind):
-    # Six levels, one variable fixed (or, for both-to-one, beta at one
+def test_limit_levels_share_their_root_pairs(monkeypatch, point):
+    # Six levels, one variable fixed (or, with both at 1, beta at one
     # level equal to alpha at the level before): seven pairs, not twelve.
     computed = count_pairs(monkeypatch)
-    spec = LimitSpec(kind=kind)
-    shared = limit_eval(params(*point), spec)
+    shared = limit_eval(params(*point))
     assert len(computed) == len(set(computed)) == 7
     computed.clear()
     monkeypatch.setattr(cf, "_shared_root_pairs", contextlib.nullcontext)
-    alone = limit_eval(params(*point), spec)
+    alone = limit_eval(params(*point))
     assert len(computed) == 12 and len(set(computed)) == 7
     assert same_bits(shared, alone)
 
@@ -767,9 +803,9 @@ def test_a_scope_ends_with_its_block_and_restores_the_outer_one(monkeypatch):
 
 
 @pytest.mark.parametrize("fields, message", [
-    ((1, "gamma-side", "+", 1), "bad variable 'gamma-side'"),
-    ((1, "alpha-side", "*", 1), "bad root_sign '*'"),
-    ((1, "alpha-side", "+", 2), "bad order_shift 2"),
+    (("gamma-side", "+", 1), "bad variable 'gamma-side'"),
+    (("alpha-side", "*", 1), "bad root_sign '*'"),
+    (("alpha-side", "+", 2), "bad order_shift 2"),
 ])
 def test_contour_term_spec_refuses_a_bad_field(fields, message):
     with pytest.raises(ConfigError) as err:

@@ -102,5 +102,6 @@ def test_every_submodule_export_resolves():
         module = importlib.import_module(f"chebgamma.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (info.name, name)
-    retired = {"GammaBranchSpec", "ShellCoefficient", "erf_complex", "prefactor_kind"}
+    retired = {"GammaBranchSpec", "LimitSpec", "ShellCoefficient", "erf_complex",
+               "prefactor_kind"}
     assert retired.isdisjoint(chebgamma.__all__)

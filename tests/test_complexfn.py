@@ -491,6 +491,31 @@ def test_reflected_series_saturates_when_its_sum_outgrows_a_double():
     assert "overflow-saturation" in flags
 
 
+def test_kummer_sum_saturates_when_a_power_outgrows_a_double():
+    # Left of the axis the powers (750 - i)^n / n! of the Kummer sum pass
+    # the double range near n = 750, and so does its value: gamma(400,
+    # -750 + i) is about 1.9e1471 - 4.8e1472i.  The sum stops at the first
+    # non-finite power and returns a flagged infinity in the quadrant of
+    # the sum so far, which is the quadrant of the value.
+    assert complexfn._gamma_regime(400.0, -750 + 1j) == "kummer"
+    with collect() as flags:
+        v = lower_gamma(400.0, -750 + 1j)
+    assert repr(v) == "(inf-infj)"
+    assert flags == {"overflow-saturation"}
+
+
+@pytest.mark.xfail(strict=True, reason="the Kummer sum's powers pass the double range "
+                   "while w^s underflows: a flagged infinity where Gamma(s, w) is 1.2e-56")
+def test_kummer_sum_past_the_double_range_behind_a_tiny_power():
+    # Gamma(50 + 400i, -800 + i) = -gamma(s, w) + Gamma(s), with |w^s| about
+    # e^-922 and the sum about e^800 / 800: the value is a double.
+    assert complexfn._gamma_regime(50 + 400j, -800 + 1j, upper=True) == "kummer"
+    with collect() as flags:
+        v = upper_gamma(50 + 400j, -800 + 1j)
+    assert rel(v, 4.933068519083367e-57 - 1.109496193481063e-56j) < 1e-10
+    assert not flags
+
+
 def _sum_must_not_run(*args):
     raise AssertionError(f"a lower-gamma sum ran at {args}")
 

@@ -784,7 +784,20 @@ def test_cli_eval_twelve_terms(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     term_lines = [ln for ln in out.splitlines() if ln.startswith("term ")]
-    assert len(term_lines) == 12
+    assert [ln.split(" = ")[0] for ln in term_lines] == [
+        "term  1 (alpha-side, root +, shift +1)",
+        "term  2 (alpha-side, root +, shift +0)",
+        "term  3 (alpha-side, root -, shift +1)",
+        "term  4 (alpha-side, root -, shift +0)",
+        "term  5 (alpha-side, root +, shift -1)",
+        "term  6 (alpha-side, root -, shift -1)",
+        "term  7 (beta-side, root +, shift +1)",
+        "term  8 (beta-side, root +, shift +0)",
+        "term  9 (beta-side, root +, shift -1)",
+        "term 10 (beta-side, root -, shift +1)",
+        "term 11 (beta-side, root -, shift +0)",
+        "term 12 (beta-side, root -, shift -1)",
+    ]
     assert "value = " in out
 
 
@@ -864,6 +877,7 @@ def test_cli_sweep_end_to_end(capsys, tmp_path):
     out = capsys.readouterr().out
     assert rc == 0
     assert "points = 8" in out
+    assert f"output = {out_csv}\n" in out
     assert out_csv.exists()
     with open(out_csv, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 8
