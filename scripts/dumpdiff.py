@@ -1,9 +1,10 @@
 """The compare half of the scripts that check a checkout against another.
 
-``sweep_fingerprint.py``, ``series_fingerprint.py`` and
-``reproduce_verification.py`` each produce a set of records, keep them
-with ``--dump`` and, run in another checkout, compare that checkout's
-records with them through ``--against``.  Each script keeps how it
+``sweep_fingerprint.py``, ``series_fingerprint.py``,
+``kernel_fingerprint.py`` and ``reproduce_verification.py`` each produce
+a set of records, keep them with ``--dump`` and, run in another
+checkout, compare that checkout's records with them through
+``--against``.  Each script keeps how it
 produces its records, its dump format and its own report lines.  This
 module is the part they share:
 

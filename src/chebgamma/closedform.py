@@ -508,6 +508,7 @@ def _limit_path(p: SeriesParams):
                 return lambda eps: SeriesParams(a=a, k=k, alpha=1.0 - eps, beta=1.0 - 2.0 * eps)
             return lambda eps: SeriesParams(a=a, k=k, alpha=1.0 - eps, beta=beta)
         if abs(alpha + 1.0) <= _MOAT:
+            abs(beta)  # refuses a beta whose modulus overflows, at the caller's point
             return lambda eps: SeriesParams(a=a, k=k, alpha=-1.0 + eps, beta=beta)
         if abs(alpha - beta) <= _MOAT:
             # a step of eps, or of eps |beta| past |beta| = 1: a step

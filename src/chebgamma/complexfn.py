@@ -39,7 +39,13 @@ is 1.5 once Re s < 0, where Gamma(s) - gamma(s, z) cancels as soon as
   and the point goes to the regime below that it falls in
 * next to the cut, ``|z| + Re z <= 4`` with Re z < 0: Kummer's series
   gamma(s, z) = z^s sum_n (-z)^n / (n! (s + n)), whose terms have one
-  sign near the cut, so no exponential cancellation, but O(|z|) of them
+  sign near the cut, so no exponential cancellation, but O(|z|) of them.
+  Its loop rests on two facts.  A power is bounded, |(-z)^n / n!| <=
+  e^|z|, below 1e305 while |z| < 700 (``_KUMMER_SAFE``), so the powers
+  are tested for overflow only from |z| = 700 on.  And the stop, which
+  waits for n past |z| and past the index an integer order leaves out,
+  cannot fire before n passes max(|z|, that index); no stop test runs
+  before that
 * the right half of the pocket disc, Re z >= 0 with ``|z|`` below the
   radius (or ``|z| + Re z <= 4``, so ``|z| <= 2``): the power series
   gamma(s, z) = z^s e^-z sum_n z^n / (s (s+1) ... (s+n))
@@ -109,6 +115,9 @@ _CF_TOL = 1e-15
 # fraction covers the rest of the large-|z| plane.
 _REFLECT_MAX_CANCEL = 4.0
 _EXP_OVERFLOW = 709.0
+# Below this |z| the Kummer sum's powers |z|^n / n! stay below e^|z| < 1e305,
+# so none can pass the double range (module docstring); e^700 is 1.01e304.
+_KUMMER_SAFE = 700.0
 # The asymptotic expansion runs near the cut once |z| >= _ASYMPTOTIC_MIN_Z
 # + 2|s|.  The 2|s| keeps the term ratio |s - n|/|z| below 1/2 for n < 20,
 # and at |z| = 40 the smallest term of the s = 0 expansion, about
@@ -411,29 +420,34 @@ def _kummer_sum(s: complex, z: complex, skip: int = -1):
     # For Re z < 0 the powers of -z do not alternate, so the sum is
     # cancellation-free near the negative real axis at any |z| the exp can
     # represent.  The stop waits for the skipped index, whose power the
-    # integer-order caller needs.
+    # integer-order caller needs, and for n past |z|: for an integer n both
+    # hold exactly from n > quiet on.  A power can pass the double range
+    # only from |z| = _KUMMER_SAFE on (module docstring); only there is it
+    # tested.
     w = -z
     abs_w = abs(w)
+    may_overflow = abs_w >= _KUMMER_SAFE
+    quiet = max(int(abs_w), skip)
     p = 1.0
     at_skip = p
     total = 0.0 if skip == 0 else 1.0 / s
     budget = _ITER_BUDGET + int(2 * abs_w) + skip
     for n in range(1, budget):
         p *= w / n
-        if not cmath.isfinite(p):
+        if may_overflow and not cmath.isfinite(p):
             break
         if n == skip:
             at_skip = p
             continue
         term = p / (s + n)
         total += term
-        try:
-            done = n > abs_w and n > skip and abs(term) <= 1e-17 * abs(total)
-        except OverflowError:
-            # the sum is finite but its modulus outgrows a double
-            break
-        if done:
-            return total, at_skip
+        if n > quiet:
+            try:
+                if abs(term) <= 1e-17 * abs(total):
+                    return total, at_skip
+            except OverflowError:
+                # the sum is finite but its modulus outgrows a double
+                break
     else:
         raise NonConvergenceError(f"Kummer series stalled at s={s}, z={z}")
     flag(OVERFLOW_SATURATION)
@@ -494,19 +508,23 @@ def _upper_cf(s: complex, z: complex) -> complex:
     # Legendre continued fraction in the standard even form,
     # Gamma(s,z) = e^-z z^s / (z+1-s - 1(1-s)/(z+3-s - 2(2-s)/(...))),
     # evaluated by the modified Lentz method.
+    # i counts the steps as a float, the value an int count converts to in
+    # i - s, and ``not d`` is ``d == 0``, also for signed zeros and nans.
     tiny = 1e-300
     b = z + 1.0 - s
     c = 1.0 / tiny
     d = 1.0 / b if b != 0 else 1.0 / tiny
     h = d
-    for i in range(1, _ITER_BUDGET + 1):
+    i = 0.0
+    for _ in range(_ITER_BUDGET):
+        i += 1.0
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
-        if d == 0:
+        if not d:
             d = tiny
         c = b + an / c
-        if c == 0:
+        if not c:
             c = tiny
         d = 1.0 / d
         delta = d * c

@@ -581,15 +581,9 @@ _HUGE = 1.5e308 + 1.5e308j
 def test_limit_refuses_an_argument_whose_modulus_overflows(alpha, beta):
     with pytest.raises(KernelDomainError) as err:
         limit_eval(params(alpha, beta, 2.5, 3.0 * math.pi))
-    message = str(err.value)
-    assert message.startswith("|alpha - beta|, |alpha| or |beta| overflows a double at alpha=")
-    assert message.endswith(f", beta={complex(beta)}")
-    # at alpha = -1 the refusal comes from closed_form at the first
-    # perturbed point, so the message names that alpha, not -1
-    if alpha != -1.0:
-        assert message == (
-            "|alpha - beta|, |alpha| or |beta| overflows a double at "
-            f"alpha={complex(alpha)}, beta={complex(beta)}")
+    assert str(err.value) == (
+        "|alpha - beta|, |alpha| or |beta| overflows a double at "
+        f"alpha={complex(alpha)}, beta={complex(beta)}")
 
 
 def test_limit_both_to_one_order_one_anchor():

@@ -516,6 +516,39 @@ def test_kummer_sum_past_the_double_range_behind_a_tiny_power():
     assert not flags
 
 
+# The bits of one value per loop of the regime map, read before the loops
+# were written to skip work that cannot change a result: a step counter off
+# by one moves them, and so does a Kummer stop that fires before the index
+# an integer order leaves out.
+@pytest.mark.parametrize("kernel, s, w, regime, bits", [
+    (upper_gamma, 2.5, 40.0, "fraction", "(1.1155592055681683e-15+0j)"),
+    (upper_gamma, 3.0 + 2.0j, 10.0 - 20.0j, "fraction",
+     "(0.10484328961295589-0.16974412544608017j)"),
+    (lower_gamma, 2.5, -30.0 + 1.0j, "kummer", "(1450977455986831.2+829087244875109.2j)"),
+    # |w| >= 700 (_KUMMER_SAFE), where each power is tested for overflow
+    (lower_gamma, -200.0 - 330.0j, -705.0 + 1.0j, "kummer",
+     "(-6.161677184716756e+183-1.3609860151184562e+183j)"),
+    # the non-positive integer order -m, its index m left out: m above |w|,
+    # where the terms fall below the stop's tolerance before n reaches m,
+    # and below it
+    (upper_gamma, -20.0, -0.5 + 0.1j, "kummer", "(-45837.38948980869-38678.59073315996j)"),
+    (upper_gamma, -3.0, -20.0 + 1.0j, "kummer", "(2717.893803606976-2714.323790528949j)"),
+    (lower_gamma, 2.0 + 3.0j, 1.5 - 2.0j, "series", "(1.0876006289737874+4.877620373211384j)"),
+    (upper_gamma, 2.5, -60.0 + 1.0j, "asymptotic",
+     "(-4.426072430178803e+28-2.6855845726597717e+28j)"),
+    (upper_gamma, 4.0, 10.0 + 3.0j, "terminating",
+     "(-0.041185111523776276-0.05498563699495681j)"),
+    # a terminating sum that declines (kappa = 21), so Kummer's series serves
+    (upper_gamma, 2.0, -1.1, "terminating", "(-0.30041660239464374+3.185102059361353e-16j)"),
+], ids=["fraction-real", "fraction-complex", "kummer", "kummer-past-700", "skip-above-w",
+        "skip-below-w", "direct", "asymptotic", "terminating", "terminating-declines"])
+def test_regime_loops_keep_their_bits(kernel, s, w, regime, bits):
+    assert complexfn._gamma_regime(s, w, upper=kernel is upper_gamma) == regime
+    with collect() as flags:
+        assert repr(kernel(s, w)) == bits
+    assert not flags
+
+
 def _sum_must_not_run(*args):
     raise AssertionError(f"a lower-gamma sum ran at {args}")
 

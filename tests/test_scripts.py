@@ -89,3 +89,21 @@ def test_truncation_profile_estimates_dominate_in_the_asymptotic_regime(capsys):
 def test_truncation_profile_refuses_a_degenerate_grid(argv, capsys):
     assert _exit_code(_script(SCRIPTS / "truncation_profile.py"), argv) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_kernel_fingerprint_finds_an_edited_draw(tmp_path, capsys):
+    kernels = _script(SCRIPTS / "kernel_fingerprint.py")
+    dump = tmp_path / "kernels.txt"
+    argv = ["--draws", "40", "--seed", "3"]
+    assert kernels.main(argv + ["--dump", str(dump)]) == 0
+    assert kernels.main(argv + ["--against", str(dump)]) == 0
+    assert "  0 of 40 draws moved\n" in capsys.readouterr().out
+    lines = dump.read_text().splitlines(keepends=True)
+    cells = lines[7].split("\t")
+    cells[1 + len(kernels.POINT_FIELDS)] = "(1+0j)"  # after the index, the upper_gamma cell
+    lines[7] = "\t".join(cells)
+    dump.write_text("".join(lines))
+    assert kernels.main(argv + ["--against", str(dump)]) == 1
+    out = capsys.readouterr().out
+    assert "  1 of 40 draws moved\n" in out and "  draw 7: s=" in out
+    assert "  upper_gamma: (1+0j) -> " in out
