@@ -27,7 +27,9 @@ direction and ``bound``:
 * ``flat``: anything else.
 
 The exit status is 1 when any metric of any workload at any seed is a
-regression and 0 otherwise.
+regression and 0 otherwise.  ``--pairs`` below 1, and a ``--parent``
+that holds no ``perfbench/run.py``, are usage errors (exit 2), met
+before any run: the parent runs first in the first pair.
 
 Before the pairs the script prints, for each side, whether its checkout
 holds a ``src/chebgamma/__pycache__``.  Where one does, that side's
@@ -98,7 +100,13 @@ def bytecode_note(checkout: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, args) -> dict:
-    """One benchmark run of workload at seed in checkout: metric name -> value."""
+    """One benchmark run of workload at seed in checkout: metric name -> value.
+
+    Raises FileNotFoundError, before it starts anything, where checkout
+    holds no perfbench/run.py.
+    """
+    if not (checkout / "perfbench" / "run.py").is_file():
+        raise FileNotFoundError(f"no perfbench/run.py in {checkout}")
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(args.seconds), "--trace", "0"],
@@ -147,13 +155,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=dumpdiff.parse_seeds, default=[1], metavar="K[,K...]",
                         help="one seed, or a list such as 1,2 or 1..3")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     for side, checkout in sides.items():
         print(f"{side} {checkout}: {bytecode_note(checkout)}", flush=True)
     # every workload and seed runs, even after one has regressed
-    regressed = [compare(w, seed, sides, metrics, args)
-                 for w in args.workload.split(",") for seed in args.seed]
+    try:
+        regressed = [compare(w, seed, sides, metrics, args)
+                     for w in args.workload.split(",") for seed in args.seed]
+    except FileNotFoundError as exc:
+        parser.error(str(exc))
     return 1 if any(regressed) else 0
 
 

@@ -25,7 +25,8 @@ largest relative change of each kernel's value over the moved draws that
 read finite on both sides ("-" where none does), and each moved draw's
 point and its old and new cells.  It exits with status 1 when any draw
 moved and 0 when none did.  The dump options and the rule by which a
-draw moved are those of ``scripts/dumpdiff.py``.
+draw moved are those of ``scripts/dumpdiff.py``, whose ``Draws`` runs
+this script from its draws and their evaluation.
 
 Usage:
     python scripts/kernel_fingerprint.py
@@ -33,9 +34,7 @@ Usage:
     python scripts/kernel_fingerprint.py --draws 20000 --against /tmp/parent-kernels.txt
 """
 
-import argparse
 import cmath
-import hashlib
 import math
 import random
 import sys
@@ -106,14 +105,19 @@ def _cell(kernel, s, w) -> str:
     return repr(value) + "".join(f" {name}" for name in sorted(flags))
 
 
-def lines(seed: int, draws: int):
-    """One tab-separated line per draw: index, point fields, one cell per kernel."""
-    rng = random.Random(seed)
-    for i in range(draws):
-        s, w = _order(rng), _argument(rng)
-        regime = _gamma_regime(complex(s), complex(w), upper=True)
-        yield "\t".join([str(i), repr(s), repr(w), regime]
-                        + [_cell(kernel, s, w) for kernel in KERNELS.values()])
+def draw(rng: random.Random) -> tuple:
+    """One seeded point (s, w)."""
+    return _order(rng), _argument(rng)
+
+
+def evaluate(point: tuple) -> dict:
+    """The fields of one draw: s, w, the regime upper_gamma dispatches on,
+    and one cell per kernel."""
+    s, w = point
+    cells = {"s": repr(s), "w": repr(w),
+             "regime": _gamma_regime(complex(s), complex(w), upper=True)}
+    cells.update((name, _cell(kernel, s, w)) for name, kernel in KERNELS.items())
+    return cells
 
 
 def _number(cell: str):
@@ -124,65 +128,9 @@ def _number(cell: str):
         return None
 
 
-def _parse(line: str) -> dict:
-    return dict(zip(("index",) + POINT_FIELDS + tuple(KERNELS), line.rstrip("\n").split("\t")))
-
-
-def compare(old_lines, new_lines) -> tuple:
-    """How the draws moved from ``old_lines`` to ``new_lines``.
-
-    Returns the number of draws that moved and the report lines.
-    """
-    if len(old_lines) != len(new_lines):
-        raise ValueError(f"draw counts differ: {len(old_lines)} against {len(new_lines)}")
-    draws = dumpdiff.Moves()
-    moved = []
-    for old_line, new_line in zip(old_lines, new_lines):
-        old, new = _parse(old_line), _parse(new_line)
-        if any(old[f] != new[f] for f in ("index", "s", "w")):
-            raise ValueError(f"draw {new['index']} is another point in the dump; "
-                             "use the --seed and --draws it was made with")
-        changed = draws.compare(old, new)
-        if changed:
-            moved.append((new, changed, old))
-            for f in changed:
-                if f in KERNELS:
-                    draws.value(f, _number(old[f]), _number(new[f]))
-    report = [f"{len(moved)} of {len(new_lines)} draws moved",
-              *draws.summary("draws moved per field", tuple(KERNELS))]
-    for new, changed, old in moved:
-        report.append(f"draw {new['index']}: s={new['s']} w={new['w']}")
-        for f in changed:
-            report.append(f"  {f}: {old[f]} -> {new[f]}")
-    return len(moved), report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="seed of the draws")
-    parser.add_argument("--draws", type=int, default=20000, help="number of draws")
-    dumpdiff.add_dump_options(parser, "FILE", "keep the per-draw lines in FILE",
-                              "report which draws moved against a --dump FILE")
-    args = parser.parse_args(argv)
-    if args.draws < 1:
-        parser.error("--draws must be at least 1")
-    if args.against is not None:
-        dumpdiff.require_dumps(parser, [args.against])
-    rows = list(lines(args.seed, args.draws))
-    text = "".join(row + "\n" for row in rows)
-    print(f"kernels seed {args.seed}, {args.draws} draws: "
-          f"{hashlib.sha256(text.encode()).hexdigest()}")
-    if args.dump is not None:
-        args.dump.write_text(text)
-    if args.against is not None:
-        try:
-            moved, report = compare(args.against.read_text().splitlines(), rows)
-        except ValueError as exc:
-            parser.error(str(exc))
-        for line in report:
-            print(f"  {line}")
-        return dumpdiff.exit_status(moved)
-    return 0
+main = dumpdiff.Draws(
+    doc=__doc__, label="kernels", fields=POINT_FIELDS + tuple(KERNELS), point=("s", "w"),
+    values=tuple(KERNELS), draw=draw, evaluate=evaluate, number=_number).main
 
 
 if __name__ == "__main__":

@@ -87,8 +87,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.against is not None:
-        dumpdiff.require_dumps(parser, [args.against / f"report-{seed}.json"
-                                        for seed in args.seeds])
+        dumpdiff.require_dumps(parser, args, [args.against / f"report-{seed}.json"
+                                              for seed in args.seeds])
     any_fail = False
     moved = []
     digest = hashlib.sha256()

@@ -21,7 +21,9 @@ relative change of the value and of the error estimate over the moved
 draws that read finite on both sides ("-" where none does), and each
 moved draw's point and its old and new fields.  It exits with status 1
 when any draw moved and 0 when none did.  The dump options and the rule
-by which a draw moved are those of ``scripts/dumpdiff.py``.
+by which a draw moved are those of ``scripts/dumpdiff.py``, whose
+``Draws`` runs this script from its draws, their evaluation and its own
+report lines.
 
 Usage:
     python scripts/series_fingerprint.py
@@ -29,9 +31,7 @@ Usage:
     python scripts/series_fingerprint.py --draws 20000 --against /tmp/parent-series.txt
 """
 
-import argparse
 import cmath
-import hashlib
 import math
 import random
 import sys
@@ -104,8 +104,9 @@ def draw(rng: random.Random) -> dict:
 
 
 def evaluate(point: dict) -> dict:
-    """The result fields of one draw; an exception fills only its own field."""
-    out = dict.fromkeys(RESULT_FIELDS, "-")
+    """The fields of one draw, its point's and its result's; an exception
+    fills only its own result field."""
+    out = {**point, **dict.fromkeys(RESULT_FIELDS, "-")}
     try:
         params = SeriesParams(a=complex(point["a_pi"]) / math.pi, k=complex(point["k"]),
                               alpha=complex(point["alpha"]), beta=complex(point["beta"]))
@@ -121,16 +122,6 @@ def evaluate(point: dict) -> dict:
     return out
 
 
-def lines(seed: int, draws: int):
-    """One tab-separated line per draw: index, point fields, result fields."""
-    rng = random.Random(seed)
-    for i in range(draws):
-        point = draw(rng)
-        result = evaluate(point)
-        yield "\t".join([str(i)] + [point[f] for f in POINT_FIELDS]
-                        + [result[f] for f in RESULT_FIELDS])
-
-
 def _number(cell: str):
     # a value or error cell; "-" (the draw raised) reads as None
     try:
@@ -139,72 +130,21 @@ def _number(cell: str):
         return None
 
 
-def _parse(line: str) -> dict:
-    cells = line.rstrip("\n").split("\t")
-    return dict(zip(("index",) + POINT_FIELDS + RESULT_FIELDS, cells))
-
-
-def compare(old_lines, new_lines) -> tuple:
-    """How the draws moved from ``old_lines`` to ``new_lines``.
-
-    Returns the number of draws that moved and the report lines.  The
-    largest relative changes are over the moved draws, both fields of each.
-    """
-    if len(old_lines) != len(new_lines):
-        raise ValueError(f"draw counts differ: {len(old_lines)} against {len(new_lines)}")
-    draws = dumpdiff.Moves()
-    moved = []
-    for old_line, new_line in zip(old_lines, new_lines):
-        old, new = _parse(old_line), _parse(new_line)
-        if any(old[f] != new[f] for f in ("index",) + POINT_FIELDS):
-            raise ValueError(f"draw {new['index']} is another point in the dump; "
-                             "use the --seed and --draws it was made with")
-        changed = draws.compare(old, new)
-        if changed:
-            moved.append((new, changed, old))
-            for f in ("value", "error"):
-                draws.value(f, _number(old[f]), _number(new[f]))
+def _notes(moved) -> tuple:
+    """How many moved draws moved a finite value or error, and each one's
+    value and termination now."""
     finite = sum(1 for new, changed, old in moved
                  if any(dumpdiff.finite(_number(side[f])) for side in (old, new)
                         for f in ("value", "error") if f in changed))
-    report = [f"{len(moved)} of {len(new_lines)} draws moved",
-              f"{finite} of them moved a finite value or error",
-              *draws.summary("draws moved per field", ("value", "error"))]
-    for new, changed, old in moved:
-        point = " ".join(f"{f}={new[f]}" for f in POINT_FIELDS)
-        report.append(f"draw {new['index']}: {point}")
-        report.append(f"  now: value={new['value']} termination={new['termination']}")
-        for f in changed:
-            report.append(f"  {f}: {old[f]} -> {new[f]}")
-    return len(moved), report
+    return ([f"{finite} of them moved a finite value or error"],
+            [[f"  now: value={new['value']} termination={new['termination']}"]
+             for new, changed, old in moved])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="seed of the draws")
-    parser.add_argument("--draws", type=int, default=20000, help="number of draws")
-    dumpdiff.add_dump_options(parser, "FILE", "keep the per-draw lines in FILE",
-                              "report which draws moved against a --dump FILE")
-    args = parser.parse_args(argv)
-    if args.draws < 1:
-        parser.error("--draws must be at least 1")
-    if args.against is not None:
-        dumpdiff.require_dumps(parser, [args.against])
-    rows = list(lines(args.seed, args.draws))
-    digest = hashlib.sha256("".join(row + "\n" for row in rows).encode())
-    print(f"series seed {args.seed}, {args.draws} draws: {digest.hexdigest()}")
-    if args.dump is not None:
-        args.dump.write_text("".join(row + "\n" for row in rows))
-    if args.against is not None:
-        old = args.against.read_text().splitlines()
-        try:
-            moved, report = compare(old, rows)
-        except ValueError as exc:
-            parser.error(str(exc))
-        for line in report:
-            print(f"  {line}")
-        return dumpdiff.exit_status(moved)
-    return 0
+main = dumpdiff.Draws(
+    doc=__doc__, label="series", fields=POINT_FIELDS + RESULT_FIELDS, point=POINT_FIELDS,
+    values=("value", "error"), draw=draw, evaluate=evaluate, number=_number,
+    notes=_notes).main
 
 
 if __name__ == "__main__":

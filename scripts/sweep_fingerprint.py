@@ -160,8 +160,9 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
     if args.against is not None:
-        dumpdiff.require_dumps(parser, [_cell_dir(args.against, name, seed) for name in names
-                                        for seed in args.seeds], Path.is_dir)
+        dumpdiff.require_dumps(parser, args, [_cell_dir(args.against, name, seed)
+                                              for name in names for seed in args.seeds],
+                               Path.is_dir)
     moved = 0
     for name in names:
         for seed in args.seeds:

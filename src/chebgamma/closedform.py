@@ -25,8 +25,8 @@ for bit what the second root gives; complex inputs run all four roots.
 Each root keeps three incomplete gammas at the literal orders k, k + 1
 and k + 2, with no recurrence between them, so that the route checks
 any shortcut ``closed_form`` takes across orders.  ``limit_eval`` crosses
-the removable singularities, alpha = beta and alpha = +-1, where the
-bracket is 0/0: it reads the set from the point and extrapolates
+the removable singularities, alpha = beta and alpha or beta at +-1, where
+the bracket is 0/0: it reads the set from the point and extrapolates
 closed forms along a path off it.  The remaining functions are fixed
 reference formulas: the all-ones limit, the golden-ratio point, the
 error-function point, and the odd-shell difference identities at
@@ -494,31 +494,38 @@ def diff_closed_form(c: int, a, k) -> complex:
     return checked(_diff_c1(a, k) if c == 1 else _diff_c(c, a, k))
 
 
+def _end(x) -> float | None:
+    """The end of [-1, 1], +1.0 or -1.0, that x sits within _MOAT of, or None."""
+    for end in (1.0, -1.0):
+        if abs(x - end) <= _MOAT:
+            return end
+    return None
+
+
 def _limit_path(p: SeriesParams):
     """eps -> the point limit_eval evaluates at, off the set p sits on.
 
-    The sets are tested in the order the limit_eval docstring lists.
+    The rule is the one the limit_eval docstring gives.
     """
     a, k, alpha, beta = p.a, p.k, p.alpha, p.beta
     try:
-        if abs(alpha - 1.0) <= _MOAT:
-            if abs(beta - 1.0) <= _MOAT:
-                # distinct rates keep alpha and beta separated while both
-                # approach 1 along the real axis from inside
-                return lambda eps: SeriesParams(a=a, k=k, alpha=1.0 - eps, beta=1.0 - 2.0 * eps)
-            return lambda eps: SeriesParams(a=a, k=k, alpha=1.0 - eps, beta=beta)
-        if abs(alpha + 1.0) <= _MOAT:
-            abs(beta)  # refuses a beta whose modulus overflows, at the caller's point
-            return lambda eps: SeriesParams(a=a, k=k, alpha=-1.0 + eps, beta=beta)
-        if abs(alpha - beta) <= _MOAT:
-            # a step of eps, or of eps |beta| past |beta| = 1: a step
-            # relative to a tiny beta would land back inside the moat
-            step = max(1.0, abs(beta))
-            return lambda eps: SeriesParams(a=a, k=k, alpha=alpha, beta=beta + eps * step)
+        alpha_end, beta_end = _end(alpha), _end(beta)
+        coincide = abs(alpha - beta) <= _MOAT
     except OverflowError:
         raise _overflow_error(p) from None
-    raise SingularParameterError(
-        "params sit on no removable singular set (alpha = beta, or alpha at +-1)")
+    if alpha_end is None and beta_end is None:
+        if not coincide:
+            raise SingularParameterError(
+                "params sit on no removable singular set (alpha = beta, or alpha or beta at +-1)")
+        # a step of eps, or of eps |beta| past |beta| = 1: a step
+        # relative to a tiny beta would land back inside the moat
+        step = max(1.0, abs(beta))
+        return lambda eps: SeriesParams(a=a, k=k, alpha=alpha, beta=beta + eps * step)
+    # each variable at an end moves inward, at distinct rates, so that two
+    # at one end stay apart along the real axis
+    return lambda eps: SeriesParams(
+        a=a, k=k, alpha=alpha if alpha_end is None else alpha_end * (1.0 - eps),
+        beta=beta if beta_end is None else beta_end * (1.0 - 2.0 * eps))
 
 
 # limit_eval's perturbation ladder: eps_j = _LIMIT_EPS0 * 2^-j for j below
@@ -532,13 +539,13 @@ _LIMIT_LEVELS = 6
 def limit_eval(params: SeriesParams) -> complex:
     """closed_form at a removable singularity, by extrapolating in epsilon.
 
-    The point picks its perturbation path (``_limit_path``), tested in
-    this order, each within 1e-6 (``_MOAT``):
+    The point picks its perturbation path (``_limit_path``), each set
+    read within 1e-6 (``_MOAT``):
 
-    * alpha and beta both at 1: alpha = 1 - eps, beta = 1 - 2 eps;
-    * alpha at +1: alpha = 1 - eps;
-    * alpha at -1: alpha = -1 + eps;
-    * alpha = beta: beta = beta + eps max(1, |beta|);
+    * each of alpha and beta that sits at +-1 moves inward, alpha by eps
+      and beta by 2 eps: alpha = +-(1 - eps), beta = +-(1 - 2 eps), so
+      alpha and beta both at 1 take alpha = 1 - eps, beta = 1 - 2 eps;
+    * otherwise, alpha = beta: beta = beta + eps max(1, |beta|);
 
     and a point on none of them raises SingularParameterError.  Evaluates
     on the six levels eps_j = 1e-2 * 2^-j, j = 0..5
@@ -548,10 +555,11 @@ def limit_eval(params: SeriesParams) -> complex:
     perturbation path).  Raises when the extrapolants stop contracting
     by at least 2 per level above the rounding floor.
 
-    The levels share their root pairs (``_shared_root_pairs``): each path
-    holds one variable fixed, or, at alpha = beta = 1, takes beta at one
+    The levels share their root pairs (``_shared_root_pairs``): a path
+    holds one variable fixed, or, with both at one end, takes beta at one
     level bit for bit equal to alpha at the level before (1 - 2 eps_j =
     1 - eps_(j-1)), so the six levels compute seven root pairs, not twelve.
+    Only alpha and beta at opposite ends compute all twelve.
     """
     perturbed = _limit_path(params)
     with _shared_root_pairs():

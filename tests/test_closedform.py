@@ -605,6 +605,18 @@ def test_limit_edge_of_interval_kinds():
     assert rel(got, finite_series_exact(-1.0, 0.25, 3, 12.0)) <= 1e-7
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (0.3, 1.0), (0.3, -1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0),
+])
+def test_limit_takes_beta_at_either_end(alpha, beta):
+    # closed_form sends beta at +-1 to limit_eval; beta moves inward by
+    # 2 eps, and an alpha at +-1 by eps, so two at one end stay apart
+    for k in (2.0, 3.0, 5.0):
+        for a_pi in (10.0, 20.0, 40.0):
+            p = params(alpha, beta, k, a_pi)
+            assert rel(limit_eval(p), series_sum(p).value) <= 1e-8
+
+
 def test_limit_both_to_one_worked_magnitude():
     got = limit_eval(params(1.0, 1.0, -0.5, E4))
     assert rel(got, prop1_value(E4 / math.pi, -0.5)) <= 1e-6

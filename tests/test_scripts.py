@@ -107,3 +107,54 @@ def test_kernel_fingerprint_finds_an_edited_draw(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  1 of 40 draws moved\n" in out and "  draw 7: s=" in out
     assert "  upper_gamma: (1+0j) -> " in out
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("series_fingerprint", ["--draws", "5"]),
+    ("kernel_fingerprint", ["--draws", "5"]),
+    ("sweep_fingerprint", ["--seeds", "1", "--workloads", "sweep-deep"]),
+    ("reproduce_verification", ["--seeds", "3"]),
+])
+def test_dump_and_against_on_one_path_is_a_usage_error(name, argv, tmp_path, capsys):
+    # the dump would overwrite the records it is compared with, and every
+    # record would match itself; refused before anything runs or is written
+    dump = tmp_path / "dump"
+    argv = argv + ["--dump", str(dump), "--against", str(dump)]
+    assert _exit_code(_script(SCRIPTS / f"{name}.py"), argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: --dump and --against name one path, {dump}\n" in captured.err
+    assert not captured.out and not dump.exists()
+
+
+@pytest.mark.parametrize("name", ["series_fingerprint", "kernel_fingerprint"])
+def test_a_dump_of_other_draws_is_a_usage_error(name, tmp_path, capsys):
+    script = _script(SCRIPTS / f"{name}.py")
+    dump = tmp_path / "draws.txt"
+    assert script.main(["--draws", "5", "--seed", "3", "--dump", str(dump)]) == 0
+    capsys.readouterr()
+    assert _exit_code(script, ["--draws", "6", "--seed", "3", "--against", str(dump)]) == 2
+    assert "error: draw counts differ: 5 against 6\n" in capsys.readouterr().err
+    assert _exit_code(script, ["--draws", "5", "--seed", "4", "--against", str(dump)]) == 2
+    assert ("error: draw 0 is another point in the dump; use the --seed and --draws "
+            "it was made with\n") in capsys.readouterr().err
+
+
+def test_bench_pairs_refuses_no_pairs(capsys):
+    # before the side headers, so no empty table reads as a verdict
+    argv = ["--parent", ".", "--workload", "verify", "--pairs", "0"]
+    assert _exit_code(_script(SCRIPTS / "bench_pairs.py"), argv) == 2
+    captured = capsys.readouterr()
+    assert "error: --pairs must be at least 1\n" in captured.err and not captured.out
+
+
+def test_bench_pairs_refuses_a_parent_without_the_benchmark(tmp_path, capsys, monkeypatch):
+    pairs = _script(SCRIPTS / "bench_pairs.py")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(pairs.subprocess, "run", no_run)
+    for parent in (tmp_path / "no-such-parent", tmp_path):
+        argv = ["--parent", str(parent), "--workload", "verify", "--pairs", "1"]
+        assert _exit_code(pairs, argv) == 2
+        assert f"error: no perfbench/run.py in {parent}\n" in capsys.readouterr().err
